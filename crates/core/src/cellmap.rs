@@ -6,13 +6,7 @@
 //! "which non-empty cells neighbor C?" and "which core cells neighbor C?"
 //! without touching point data.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use dbscout_spatial::{CellCoord, NeighborOffsets, SpatialError};
-
-type DetState = BuildHasherDefault<DefaultHasher>;
+use dbscout_spatial::{CellCoord, CellHashMap, NeighborOffsets, SpatialError};
 
 /// Classification of a non-empty cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +31,7 @@ impl CellType {
 /// A broadcastable map from non-empty cell coordinates to [`CellType`].
 #[derive(Debug, Clone)]
 pub struct CellMap {
-    types: HashMap<CellCoord, CellType, DetState>,
+    types: CellHashMap<CellType>,
     offsets: NeighborOffsets,
 }
 
@@ -111,7 +105,7 @@ impl CellMap {
     pub fn neighbors<'a>(&'a self, cell: &'a CellCoord) -> impl Iterator<Item = CellCoord> + 'a {
         self.offsets
             .iter()
-            .map(move |o| NeighborOffsets::apply(cell, o))
+            .filter_map(move |o| NeighborOffsets::apply(cell, o))
             .filter(|n| self.types.contains_key(n))
     }
 
@@ -122,7 +116,7 @@ impl CellMap {
     ) -> impl Iterator<Item = CellCoord> + 'a {
         self.offsets
             .iter()
-            .map(move |o| NeighborOffsets::apply(cell, o))
+            .filter_map(move |o| NeighborOffsets::apply(cell, o))
             .filter(|n| self.is_core(n))
     }
 

@@ -9,11 +9,7 @@
 //! ([`crate::incremental`]); this module only differs in *how*
 //! ε-neighborhoods are enumerated.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use dbscout_spatial::cell::{cell_of, cell_side, CellCoord};
+use dbscout_spatial::cell::{cell_of, cell_side, CellCoord, CellHashMap};
 use dbscout_spatial::distance::within;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::{NeighborOffsets, PointStore, SpatialError};
@@ -26,15 +22,13 @@ use crate::params::DbscoutParams;
 #[allow(unused_imports)] // rustdoc link target
 use crate::native::ExecutionLayout;
 
-type DetState = BuildHasherDefault<DefaultHasher>;
-
 /// Hashed-map incremental state: per-cell id lists, scalar distances.
 #[derive(Debug, Clone)]
 pub(crate) struct HashedEngine {
     params: DbscoutParams,
     side: f64,
     store: PointStore,
-    cells: HashMap<CellCoord, Vec<PointId>, DetState>,
+    cells: CellHashMap<Vec<PointId>>,
     offsets: NeighborOffsets,
     /// Exact ε-neighbor count per point (self included).
     counts: Vec<u32>,
@@ -53,7 +47,7 @@ impl HashedEngine {
             params,
             side: cell_side(params.eps, dims),
             store: PointStore::new(dims)?,
-            cells: HashMap::default(),
+            cells: CellHashMap::default(),
             offsets,
             counts: Vec::new(),
             labels: Vec::new(),
@@ -167,7 +161,9 @@ impl HashedEngine {
         let mut my_count = 1u32; // self
         let mut newly_core: Vec<PointId> = Vec::new();
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -213,7 +209,9 @@ impl HashedEngine {
                 (cell_of(p, self.side), p.to_vec())
             };
             for off in self.offsets.iter() {
-                let ncell = NeighborOffsets::apply(&ccell, off);
+                let Some(ncell) = NeighborOffsets::apply(&ccell, off) else {
+                    continue;
+                };
                 let Some(ids) = self.cells.get(&ncell) else {
                     continue;
                 };
@@ -266,7 +264,9 @@ impl HashedEngine {
             lost_cores.push(id);
         }
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -306,7 +306,9 @@ impl HashedEngine {
             let cpoint = self.store.point(c).to_vec();
             let ccell = cell_of(&cpoint, self.side);
             for off in self.offsets.iter() {
-                let ncell = NeighborOffsets::apply(&ccell, off);
+                let Some(ncell) = NeighborOffsets::apply(&ccell, off) else {
+                    continue;
+                };
                 let Some(ids) = self.cells.get(&ncell) else {
                     continue;
                 };
@@ -352,7 +354,9 @@ impl HashedEngine {
         let mut count = 1u32; // the probe point itself
         let mut covered = false;
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -382,7 +386,9 @@ impl HashedEngine {
     fn covered_by_core(&mut self, point: &[f64], cell: &CellCoord) -> bool {
         let eps_sq = self.params.eps_sq();
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(cell, off);
+            let Some(ncell) = NeighborOffsets::apply(cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };

@@ -49,6 +49,7 @@
         clippy::float_cmp
     )
 )]
+mod build;
 pub mod cellmap;
 pub mod detector;
 pub mod distributed;

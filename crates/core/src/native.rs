@@ -21,16 +21,17 @@
 
 use std::time::{Duration, Instant};
 
-use dbscout_data::{materialize, PointSource};
-use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks, run_tasks_with};
+use dbscout_data::{materialize, PointBatch, PointSource, DEFAULT_BATCH_SIZE};
+use dbscout_dataflow::executor::{run_tasks, run_tasks_with};
 use dbscout_spatial::distance::within;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::{
     CellCoord, CellMajorBuilder, CellMajorStore, Grid, KernelKind, NeighborOffsets, PointStore,
-    ScatterShard, SpatialError, MAX_DIMS,
+    MAX_DIMS,
 };
 use dbscout_telemetry::KernelCounters;
 
+use crate::build::{count_parallel, scatter_parallel};
 use crate::cellmap::{CellFlags, CellMap};
 use crate::error::Result;
 use crate::labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
@@ -377,60 +378,22 @@ impl Dbscout {
     }
 
     /// Builds the cell-major layout of `store`, in parallel when more
-    /// than one thread is configured. The parallel build is
-    /// byte-identical to [`CellMajorStore::build`] by construction
-    /// (pinned by a test): pass-1 counts are summed per-worker over
-    /// disjoint row chunks and merged (counting is additive, so chunking
-    /// cannot change the totals); the prefix-sum layout step is shared;
-    /// and pass 2 scatters through [`CellMajorScatter::shards`], where
-    /// every shard owns a disjoint cell range and a point's slot is a
-    /// pure function of `(cell, arrival id)` — independent of which
-    /// shard writes it.
-    ///
-    /// [`CellMajorScatter::shards`]: dbscout_spatial::CellMajorScatter::shards
+    /// than one thread is configured. The parallel build
+    /// ([`crate::build`]) runs over [`DEFAULT_BATCH_SIZE`]-row slices of
+    /// the store, exactly as the streaming build runs over source
+    /// batches, and is byte-identical to [`CellMajorStore::build`].
     fn build_cell_major(&self, store: &PointStore) -> Result<CellMajorStore> {
         let threads = self.threads;
-        let rows = store.len() as usize;
-        if threads <= 1 || rows < 2 {
+        if threads <= 1 || store.len() < 2 {
             return Ok(CellMajorStore::build(store, self.params.eps)?);
         }
         let dims = store.dims();
-        let eps = self.params.eps;
-        let flat = store.flat();
-
-        // Pass 1: per-worker counting over disjoint row chunks.
-        let chunks = chunk_ranges(rows, threads);
-        let tasks: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                move || -> std::result::Result<CellMajorBuilder, SpatialError> {
-                    let mut sub = CellMajorBuilder::new(dims, eps)?;
-                    let coords = flat
-                        .get(range.start * dims..range.end * dims)
-                        .unwrap_or(&[]);
-                    sub.count_batch(coords)?;
-                    Ok(sub)
-                }
-            })
-            .collect();
-        let mut builder = CellMajorBuilder::new(dims, eps)?;
-        for sub in run_tasks(threads, tasks)? {
-            builder.merge(sub?)?;
-        }
-
-        // Shared prefix-sum layout step, then the partitioned scatter:
-        // each shard replays the whole store and writes only the cells
-        // it owns.
+        let slices = || store.flat().chunks(DEFAULT_BATCH_SIZE * dims);
+        let mut pass1 = slices();
+        let builder = count_parallel(dims, self.params.eps, threads, || Ok(pass1.next()))?;
         let mut scatter = builder.begin_scatter();
-        let tasks: Vec<_> = scatter
-            .shards(threads)
-            .into_iter()
-            .map(|mut shard| move || shard.scatter_batch(flat))
-            .collect();
-        for done in run_exclusive_tasks(tasks) {
-            done?;
-        }
+        let mut pass2 = slices();
+        scatter_parallel(&mut scatter, threads, || Ok(pass2.next()))?;
         Ok(scatter.finish_sharded()?)
     }
 
@@ -457,71 +420,17 @@ impl Dbscout {
     }
 
     /// The streaming phase 1: two passes over the source through the
-    /// counting builder, then the shared phases 2–5.
-    ///
-    /// With more than one thread configured, both passes run in parallel
-    /// over *batch groups* of up to `threads` batches (peak memory grows
-    /// from one batch to one group): pass 1 counts each batch of a group
-    /// into its own fresh builder and merges (counting is additive), and
-    /// pass 2 replays every group through the partitioned
-    /// [`dbscout_spatial::CellMajorScatter::shards`], each shard owning
-    /// a disjoint cell range. The finished layout is byte-identical to
-    /// the sequential build — a point's slot is a pure function of
-    /// `(cell, arrival id)`, and each shard tracks arrival ids across
-    /// the whole replay.
+    /// counting builder, then the shared phases 2–5. With more than one
+    /// thread configured, both passes run on the parallel build of
+    /// [`crate::build`], fed batch by batch from the source.
     fn detect_source_cell_major(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
         let t = Instant::now();
         let threads = self.threads;
         let eps = self.params.eps;
-        let mut builder = match source.dims() {
-            Some(dims) => Some(CellMajorBuilder::new(dims, eps)?),
-            None => None,
-        };
-        if threads <= 1 {
-            while let Some(batch) = source.next_batch()? {
-                let b = match &mut builder {
-                    Some(b) => b,
-                    None => builder.insert(CellMajorBuilder::new(batch.dims(), eps)?),
-                };
-                b.count_batch(batch.coords())?;
-            }
-        } else {
-            let mut dims = None;
-            loop {
-                let mut group: Vec<Vec<f64>> = Vec::with_capacity(threads);
-                while group.len() < threads {
-                    let Some(batch) = source.next_batch()? else {
-                        break;
-                    };
-                    if dims.is_none() {
-                        dims = Some(batch.dims());
-                    }
-                    group.push(batch.coords().to_vec());
-                }
-                let (Some(d), false) = (dims, group.is_empty()) else {
-                    break;
-                };
-                let b = match &mut builder {
-                    Some(b) => b,
-                    None => builder.insert(CellMajorBuilder::new(d, eps)?),
-                };
-                let tasks: Vec<_> = group
-                    .iter()
-                    .map(|coords| {
-                        let coords = coords.as_slice();
-                        move || -> std::result::Result<CellMajorBuilder, SpatialError> {
-                            let mut sub = CellMajorBuilder::new(d, eps)?;
-                            sub.count_batch(coords)?;
-                            Ok(sub)
-                        }
-                    })
-                    .collect();
-                for sub in run_tasks(threads, tasks)? {
-                    b.merge(sub?)?;
-                }
-            }
-        }
-        let Some(builder) = builder else {
+        // The first batch fixes the dimensionality when the source does
+        // not declare it (CSV learns it from the first accepted row).
+        let mut first = source.next_batch()?;
+        let Some(dims) = source.dims().or(first.as_ref().map(PointBatch::dims)) else {
             // The source produced no batches and never declared a
             // dimensionality — an empty dataset.
             return Ok(OutlierResult::from_labels(
@@ -529,6 +438,20 @@ impl Dbscout {
                 RunStats::default(),
                 PhaseTimings::default(),
             ));
+        };
+        let builder = if threads <= 1 {
+            let mut builder = CellMajorBuilder::new(dims, eps)?;
+            let mut batch = first;
+            while let Some(b) = batch {
+                builder.count_batch(b.coords())?;
+                batch = source.next_batch()?;
+            }
+            builder
+        } else {
+            count_parallel(dims, eps, threads, || match first.take() {
+                Some(b) => Ok(Some(b.into_coords())),
+                None => Ok(source.next_batch()?.map(PointBatch::into_coords)),
+            })?
         };
         source.reset()?;
         let mut scatter = builder.begin_scatter();
@@ -538,39 +461,9 @@ impl Dbscout {
             }
             scatter.finish()?
         } else {
-            // The shards persist across groups: each carries its own
-            // arrival-id cursor through the whole replay, so batch
-            // grouping cannot move a point between slots.
-            let mut shards = scatter.shards(threads);
-            loop {
-                let mut group: Vec<Vec<f64>> = Vec::with_capacity(threads);
-                while group.len() < threads {
-                    let Some(batch) = source.next_batch()? else {
-                        break;
-                    };
-                    group.push(batch.coords().to_vec());
-                }
-                if group.is_empty() {
-                    break;
-                }
-                let group = &group;
-                let tasks: Vec<_> = shards
-                    .into_iter()
-                    .map(|mut shard| {
-                        move || -> std::result::Result<ScatterShard<'_>, SpatialError> {
-                            for coords in group {
-                                shard.scatter_batch(coords)?;
-                            }
-                            Ok(shard)
-                        }
-                    })
-                    .collect();
-                shards = Vec::with_capacity(tasks.len());
-                for shard in run_exclusive_tasks(tasks) {
-                    shards.push(shard?);
-                }
-            }
-            drop(shards);
+            scatter_parallel(&mut scatter, threads, || {
+                Ok(source.next_batch()?.map(PointBatch::into_coords))
+            })?;
             scatter.finish_sharded()?
         };
         let offsets = NeighborOffsets::new(cm.dims())?;

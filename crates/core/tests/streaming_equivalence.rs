@@ -13,11 +13,11 @@
     clippy::float_cmp
 )]
 
-use dbscout_core::{DbscoutParams, DetectorBuilder, ExecutionLayout, OutlierResult};
+use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, ExecutionLayout, OutlierResult};
 use dbscout_data::io::{read_csv_with, IngestMode};
 use dbscout_data::{CsvSource, PointSource, StoreSource};
 use dbscout_rng::Rng;
-use dbscout_spatial::PointStore;
+use dbscout_spatial::{PointStore, SpatialError};
 
 /// The batch shapes the issue calls out: degenerate (1), odd (7), and
 /// larger than most fixtures (4096, a single batch).
@@ -68,7 +68,7 @@ fn detect_source_matches_detect_for_every_batch_size() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 3, 4] {
             let builder = DetectorBuilder::new(params)
                 .threads(threads)
                 .layout(ExecutionLayout::CellMajor);
@@ -197,4 +197,183 @@ fn len_hint_is_not_trusted() {
     let mut source = LyingSource(StoreSource::new(&store, 13));
     let streamed = builder.detect_source(&mut source).unwrap();
     assert_identical(&streamed, &materialized, "lying len_hint");
+}
+
+/// Serves one store on the counting pass and `second` on every replay.
+struct SwappingSource<'a> {
+    current: StoreSource<'a>,
+    second: &'a PointStore,
+    batch: usize,
+}
+
+impl PointSource for SwappingSource<'_> {
+    fn dims(&self) -> Option<usize> {
+        self.current.dims()
+    }
+    fn next_batch(
+        &mut self,
+    ) -> Result<Option<dbscout_data::PointBatch>, dbscout_data::DataIoError> {
+        self.current.next_batch()
+    }
+    fn reset(&mut self) -> Result<(), dbscout_data::DataIoError> {
+        self.current = StoreSource::new(self.second, self.batch);
+        Ok(())
+    }
+}
+
+/// A source over a raw coordinate block, which may hold what a
+/// `PointStore` refuses (NaN, zero dimensions, a partial point). With
+/// `replay` set, every pass after the first reads that block instead.
+struct FlatSource<'a> {
+    flat: &'a [f64],
+    replay: Option<&'a [f64]>,
+    dims: usize,
+    batch: usize,
+    pos: usize,
+}
+
+impl PointSource for FlatSource<'_> {
+    fn dims(&self) -> Option<usize> {
+        Some(self.dims)
+    }
+    fn next_batch(
+        &mut self,
+    ) -> Result<Option<dbscout_data::PointBatch>, dbscout_data::DataIoError> {
+        let end = (self.pos + self.dims * self.batch).min(self.flat.len());
+        if self.pos == end {
+            return Ok(None);
+        }
+        let coords = self.flat[self.pos..end].to_vec();
+        self.pos = end;
+        dbscout_data::PointBatch::from_flat(self.dims, coords).map(Some)
+    }
+    fn reset(&mut self) -> Result<(), dbscout_data::DataIoError> {
+        self.pos = 0;
+        if let Some(replay) = self.replay {
+            self.flat = replay;
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn bad_streams_fail_with_the_same_typed_error_at_every_thread_count() {
+    let mut rng = Rng::seed_from_u64(0x5005);
+    let store = dataset(&mut rng, 2, 150);
+    let n = store.len() as usize;
+    let params = DbscoutParams::new(1.0, 4).unwrap();
+    // The replay moves one point into a cell pass 1 never counted.
+    let moved = PointStore::from_rows(
+        2,
+        (0..n).map(|i| {
+            if i == n - 3 {
+                vec![1e9, 1e9]
+            } else {
+                store.point(i as u32).to_vec()
+            }
+        }),
+    )
+    .unwrap();
+    // A NaN in the last few points, seen on the counting pass.
+    let mut flat = store.flat().to_vec();
+    flat[2 * (n - 5) + 1] = f64::NAN;
+    for threads in [1usize, 2, 3, 4] {
+        let builder = DetectorBuilder::new(params)
+            .threads(threads)
+            .layout(ExecutionLayout::CellMajor);
+        for batch in [1usize, 7, 64] {
+            let ctx = format!("threads={threads} batch={batch}");
+            let mut source = SwappingSource {
+                current: StoreSource::new(&store, batch),
+                second: &moved,
+                batch,
+            };
+            assert_eq!(
+                builder.detect_source(&mut source).unwrap_err(),
+                DbscoutError::InvalidInput(SpatialError::StreamMismatch),
+                "{ctx}"
+            );
+            let mut source = FlatSource {
+                flat: &flat,
+                replay: None,
+                dims: 2,
+                batch,
+                pos: 0,
+            };
+            assert_eq!(
+                builder.detect_source(&mut source).unwrap_err(),
+                DbscoutError::InvalidInput(SpatialError::NonFiniteCoordinate {
+                    point: n - 5,
+                    dim: 1
+                }),
+                "{ctx}"
+            );
+        }
+        // A source that declares zero dimensions.
+        let mut source = FlatSource {
+            flat: &[],
+            replay: None,
+            dims: 0,
+            batch: 8,
+            pos: 0,
+        };
+        assert_eq!(
+            builder.detect_source(&mut source).unwrap_err(),
+            DbscoutError::InvalidInput(SpatialError::ZeroDims),
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn replay_failures_report_the_first_bad_point_at_every_thread_count() {
+    let mut rng = Rng::seed_from_u64(0x5006);
+    let store = dataset(&mut rng, 2, 150);
+    let params = DbscoutParams::new(1.0, 4).unwrap();
+    // Point 0 sits alone in its cell on the counting pass.
+    let mut counted = store.flat().to_vec();
+    counted[0] = -1e7;
+    counted[1] = -1e7;
+    // The replay puts point 1 in that cell too, which overflows it at
+    // point 1; a later point of the same batch or group is NaN.
+    let mut overflow_then_nan = counted.clone();
+    overflow_then_nan[2] = -1e7;
+    overflow_then_nan[3] = -1e7;
+    overflow_then_nan[7] = f64::NAN;
+    // The same overflow, then a replay that ends in a partial point,
+    // which fails to read. Batches of up to two points read the overflow
+    // first; a larger batch holds the partial point and never arrives.
+    let overflow_then_bad_read = overflow_then_nan[..7].to_vec();
+    for batch in [1usize, 2, 7, 64] {
+        for (name, replay) in [
+            ("overflow then NaN", &overflow_then_nan),
+            ("overflow then bad read", &overflow_then_bad_read),
+        ] {
+            let mut expected = None;
+            for threads in [1usize, 2, 3, 4] {
+                let mut source = FlatSource {
+                    flat: &counted,
+                    replay: Some(replay),
+                    dims: 2,
+                    batch,
+                    pos: 0,
+                };
+                let err = DetectorBuilder::new(params)
+                    .threads(threads)
+                    .layout(ExecutionLayout::CellMajor)
+                    .detect_source(&mut source)
+                    .unwrap_err();
+                let ctx = format!("{name}: threads={threads} batch={batch}");
+                let expected = expected.get_or_insert_with(|| err.clone());
+                assert_eq!(&err, expected, "{ctx}");
+                if batch <= 2 || name == "overflow then NaN" {
+                    assert_eq!(
+                        err,
+                        DbscoutError::InvalidInput(SpatialError::StreamMismatch),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
 }

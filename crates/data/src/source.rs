@@ -92,6 +92,11 @@ impl PointBatch {
         &self.coords
     }
 
+    /// Takes the flat row-major coordinate block without copying it.
+    pub fn into_coords(self) -> Vec<f64> {
+        self.coords
+    }
+
     /// Iterates the points as `dims()`-length slices.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.coords.chunks_exact(self.dims)

@@ -201,42 +201,6 @@ where
     run_stage_with(&StageOptions::new(workers), make_scratch, tasks)
 }
 
-/// Runs `tasks` concurrently, one scoped thread per task, returning their
-/// results in task order. One thread per task is intentional: callers
-/// size the list to their worker budget (e.g. one scatter shard per
-/// thread), so pooling would add queuing without adding parallelism.
-///
-/// Unlike [`run_tasks`], the closures are `FnOnce` and may therefore own
-/// or mutably borrow state exclusively — the contract the parallel
-/// cell-major scatter needs, where each task holds `&mut` shard segments
-/// of the output buffers. The price is that attempts cannot be re-run:
-/// there is **no retry and no speculation** here (an `FnOnce` consumed by
-/// a failed attempt is gone), so this runner is for deterministic
-/// CPU-bound stages whose only failure mode is a task's own `Result`.
-/// Panics are not caught either; a panicking task propagates out of the
-/// scope join, as [`std::thread::scope`] defines.
-pub fn run_exclusive_tasks<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    if tasks.len() <= 1 {
-        return tasks.into_iter().map(|f| f()).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|f| scope.spawn(f)).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // The thread panicked; re-raise on the caller's thread so
-                // the failure is not silently swallowed.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 /// One scheduled attempt of one partition's task.
 #[derive(Debug, Clone, Copy)]
 struct WorkItem {
@@ -1101,36 +1065,6 @@ mod tests {
         ];
         let out = run_stage_with(&opts, Vec::new, tasks).unwrap();
         assert_eq!(out, vec![7, 35]);
-    }
-
-    #[test]
-    fn exclusive_tasks_run_once_each_with_mutable_captures() {
-        // FnOnce tasks may own disjoint &mut segments of one buffer —
-        // the parallel-scatter ownership shape.
-        let mut buf = vec![0u64; 8];
-        let (a, b) = buf.split_at_mut(4);
-        let out = run_exclusive_tasks(vec![
-            Box::new(move || {
-                for (i, v) in a.iter_mut().enumerate() {
-                    *v = i as u64;
-                }
-                a.iter().sum::<u64>()
-            }) as Box<dyn FnOnce() -> u64 + Send>,
-            Box::new(move || {
-                for (i, v) in b.iter_mut().enumerate() {
-                    *v = 10 + i as u64;
-                }
-                b.iter().sum::<u64>()
-            }),
-        ]);
-        assert_eq!(out, vec![6, 46]);
-        assert_eq!(buf, vec![0, 1, 2, 3, 10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn exclusive_tasks_handle_empty_and_single() {
-        assert!(run_exclusive_tasks(Vec::<fn() -> u8>::new()).is_empty());
-        assert_eq!(run_exclusive_tasks(vec![|| 9u8]), vec![9]);
     }
 
     #[test]

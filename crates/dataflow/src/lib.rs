@@ -74,7 +74,7 @@ pub use broadcast::Broadcast;
 pub use context::{ContextConfig, ExecutionBackend, ExecutionContext, ExecutionContextBuilder};
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
-pub use executor::{run_exclusive_tasks, SpeculationConfig, StageOptions};
+pub use executor::{SpeculationConfig, StageOptions};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
 pub use ipc::{IpcError, WireSpan};
 pub use metrics::{EngineMetrics, MetricsSnapshot, StageRecord};

@@ -6,6 +6,9 @@
 //! integer coordinates of its minimum vertex scaled by `l`:
 //! `C_i = ⌊x_i / l⌋` (paper Algorithm 1).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
 /// Maximum supported dimensionality. The paper evaluates k_d for d ≤ 9
 /// (Table I) and runs experiments on 2–3-dimensional data.
 pub const MAX_DIMS: usize = 9;
@@ -14,8 +17,10 @@ pub const MAX_DIMS: usize = 9;
 ///
 /// Stored as a fixed-size array (zero-padded beyond `dims`) so the type is
 /// `Copy` and hashes without heap traffic — cell ids are the shuffle keys
-/// of every DBSCOUT phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// of every DBSCOUT phase. `Hash` feeds only the `dims` active
+/// coordinates, one `i64` word each; equal values have equal active
+/// coordinates, so they still hash equally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellCoord {
     dims: u8,
     c: [i64; MAX_DIMS],
@@ -57,17 +62,93 @@ impl CellCoord {
         self.c.get(..self.dims as usize).unwrap_or(&self.c)
     }
 
-    /// The cell displaced by `offset` (must have the same dimensionality).
+    /// The cell displaced by `offset` (must have the same
+    /// dimensionality), or `None` when a coordinate would leave the `i64`
+    /// range — no point maps to such a cell.
     #[inline]
-    pub fn offset_by(&self, offset: &CellCoord) -> CellCoord {
+    pub fn offset_by(&self, offset: &CellCoord) -> Option<CellCoord> {
         debug_assert_eq!(self.dims, offset.dims);
         let mut c = [0i64; MAX_DIMS];
         for ((out, &a), &b) in c.iter_mut().zip(&self.c).zip(&offset.c) {
-            *out = a + b;
+            *out = a.checked_add(b)?;
         }
-        CellCoord { dims: self.dims, c }
+        Some(CellCoord { dims: self.dims, c })
     }
 }
+
+impl Hash for CellCoord {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &x in self.coords() {
+            state.write_i64(x);
+        }
+    }
+}
+
+/// The hasher behind every [`CellCoord`]-keyed map in the spatial and
+/// core crates: the word-at-a-time multiplicative scheme of FxHash.
+/// Each word is folded in with one add and one multiply, so a 2-D
+/// cell key costs two multiplies instead of a SipHash-1-3 run over the
+/// whole padded key.
+///
+/// It is deterministic (no per-process seed), so map layouts, and any
+/// iteration that callers have not canonicalized, repeat across runs
+/// and processes. Like the fixed-key SipHash it replaces, it gives no
+/// protection against keys crafted to collide: anyone who knows a
+/// fixed key can collide SipHash too. Cell coordinates derive from the
+/// input and ε, so an adversarial input can degrade a map to linear
+/// probing under either hasher, never change an answer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CellHasher {
+    hash: u64,
+}
+
+/// The odd multiplier of the add-multiply FxHash variant.
+const FX_MUL: u64 = 0xf1_35_7a_ea_2e_62_a9_c5;
+
+impl CellHasher {
+    /// Folds one word in as `hash = (hash + word) · K`. Keys whose words
+    /// differ by small amounts, as neighboring cells do, stay distinct
+    /// in all 64 bits: `(x₁ − x₂)·K` never equals a small `y₂ − y₁`.
+    #[inline]
+    fn add_word(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(FX_MUL);
+    }
+}
+
+impl Hasher for CellHasher {
+    /// Folds arbitrary bytes in as zero-padded little-endian words.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            for (w, &b) in word.iter_mut().zip(chunk) {
+                *w = b;
+            }
+            self.add_word(u64::from_le_bytes(word));
+        }
+    }
+
+    /// The one write a [`CellCoord`] key makes per active coordinate.
+    #[inline]
+    fn write_i64(&mut self, i: i64) {
+        self.add_word(i as u64);
+    }
+
+    /// The product's high bits mix every input bit, its low bits only
+    /// the low input bits; the map picks buckets from the low bits, so
+    /// rotate the high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// `BuildHasher` for [`CellHasher`].
+pub type CellHashState = BuildHasherDefault<CellHasher>;
+
+/// A map keyed by ε-cell under [`CellHasher`].
+pub type CellHashMap<V> = HashMap<CellCoord, V, CellHashState>;
 
 /// Side length `l = ε/√d` of an ε-cell, nudged one ULP downward so that
 /// the cell diagonal `l·√d` cannot exceed ε after rounding (keeps Lemma 1
@@ -155,10 +236,56 @@ mod tests {
     }
 
     #[test]
+    fn equal_cells_hash_equally_under_the_cell_hasher() {
+        use std::hash::BuildHasher;
+        let state = CellHashState::default();
+        let coords: [&[i64]; 5] = [&[1, 2], &[-7], &[0, 0, 0], &[i64::MIN, i64::MAX], &[3; 9]];
+        for c in coords {
+            let a = CellCoord::from_slice(c);
+            // The same value built along another path.
+            let b = a
+                .offset_by(&CellCoord::from_slice(&vec![0; c.len()]))
+                .unwrap();
+            assert_eq!(state.hash_one(a), state.hash_one(b), "{c:?}");
+            // Repeatable: no per-process or per-hasher seed.
+            assert_eq!(state.hash_one(a), CellHashState::default().hash_one(b));
+        }
+        // Offsetting a key built from a different path agrees too.
+        let moved = CellCoord::from_slice(&[0, 1])
+            .offset_by(&CellCoord::from_slice(&[1, 1]))
+            .unwrap();
+        assert_eq!(
+            state.hash_one(moved),
+            state.hash_one(CellCoord::from_slice(&[1, 2]))
+        );
+        // Different nearby cells never share a full hash, negative
+        // coordinates included (an xor-rotate fold would collide
+        // `(x, 0)` with `(-x, -33)`).
+        let state = &state;
+        let hashes: std::collections::HashSet<u64> = (-50..50)
+            .flat_map(|x| (-50..50).map(move |y| state.hash_one(CellCoord::from_slice(&[x, y]))))
+            .collect();
+        assert_eq!(hashes.len(), 100 * 100);
+    }
+
+    #[test]
     fn offset_by_adds() {
         let c = CellCoord::from_slice(&[5, -3]);
         let o = CellCoord::from_slice(&[-1, 2]);
-        assert_eq!(c.offset_by(&o).coords(), &[4, -1]);
+        assert_eq!(c.offset_by(&o).unwrap().coords(), &[4, -1]);
+    }
+
+    #[test]
+    fn offset_by_is_none_past_the_i64_edge() {
+        let top = CellCoord::from_slice(&[i64::MAX, 0]);
+        let bottom = CellCoord::from_slice(&[0, i64::MIN]);
+        let up = CellCoord::from_slice(&[1, 0]);
+        let down = CellCoord::from_slice(&[0, -1]);
+        assert_eq!(top.offset_by(&up), None);
+        assert_eq!(bottom.offset_by(&down), None);
+        // Staying inside the range still works at the edge.
+        assert_eq!(top.offset_by(&down).unwrap().coords(), &[i64::MAX, -1]);
+        assert_eq!(bottom.offset_by(&up).unwrap().coords(), &[1, i64::MIN]);
     }
 
     #[test]

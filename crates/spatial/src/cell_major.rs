@@ -33,20 +33,15 @@
 //!    contain no point within ε of *any* point of the query cell, because
 //!    box-to-box minimum distance lower-bounds every point pair.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, CellCoord, CellHashMap, MAX_DIMS};
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
 };
 use crate::error::SpatialError;
 use crate::neighbors::NeighborOffsets;
 use crate::points::{PointId, PointStore};
-
-pub(crate) type DetState = BuildHasherDefault<DefaultHasher>;
 
 /// One cell of a [`CellMajorStore`]: its coordinate and the slot range
 /// its points occupy in the columnar buffer.
@@ -105,7 +100,7 @@ pub struct CellMajorStore {
     /// layout may append cells out of order).
     pub(crate) cells: Vec<CellRecord>,
     /// Cell coordinate → index into `cells`.
-    pub(crate) index: HashMap<CellCoord, u32, DetState>,
+    pub(crate) index: CellHashMap<u32>,
     /// Tight per-cell bounding boxes: cell `c`'s box spans
     /// `bbox_min[c*dims..(c+1)*dims]` .. `bbox_max[..]`.
     pub(crate) bbox_min: Vec<f64>,
@@ -131,7 +126,7 @@ pub struct CellMajorBuilder {
     eps: f64,
     side: f64,
     n: usize,
-    counts: HashMap<CellCoord, u32, DetState>,
+    counts: CellHashMap<u32>,
 }
 
 impl CellMajorBuilder {
@@ -157,7 +152,7 @@ impl CellMajorBuilder {
             eps,
             side: cell_side(eps, dims),
             n: 0,
-            counts: HashMap::default(),
+            counts: CellHashMap::default(),
         })
     }
 
@@ -194,23 +189,11 @@ impl CellMajorBuilder {
     /// must be a whole number of points and every value finite — so the
     /// scatter pass can trust the replayed stream.
     pub fn count_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
-        }
-        for (i, p) in coords.chunks_exact(self.dims).enumerate() {
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate {
-                        point: self.n + i,
-                        dim: k,
-                    });
-                }
-            }
-            *self.counts.entry(cell_of(p, self.side)).or_insert(0) += 1;
-        }
+        let counts = &mut self.counts;
+        for_each_cell(coords, self.dims, self.side, self.n, |_, _, cell| {
+            *counts.entry(cell).or_insert(0) += 1;
+            Ok(())
+        })?;
         self.n += coords.len() / self.dims;
         Ok(())
     }
@@ -285,8 +268,6 @@ impl CellMajorBuilder {
             orig_ids: vec![0; n],
             cells,
             index,
-            bbox_min: Vec::new(),
-            bbox_max: Vec::new(),
             cursors,
             filled: 0,
         }
@@ -295,6 +276,11 @@ impl CellMajorBuilder {
 
 /// Pass 2 of the two-pass streaming build: scatters the replayed stream
 /// into the cell-contiguous columns sized by [`CellMajorBuilder`].
+///
+/// Pass 2 only places points: each point's cell is hashed once, its
+/// coordinates and id land in the next slot of that cell's run, and the
+/// per-cell bounding boxes are computed afterwards in [`Self::finish`]
+/// by one sweep over each finished run.
 ///
 /// Any disagreement with pass 1 — a point landing in a cell that was
 /// never counted, a cell receiving more points than counted, or the
@@ -309,9 +295,7 @@ pub struct CellMajorScatter {
     cols: Vec<f64>,
     orig_ids: Vec<PointId>,
     cells: Vec<CellRecord>,
-    index: HashMap<CellCoord, u32, DetState>,
-    bbox_min: Vec<f64>,
-    bbox_max: Vec<f64>,
+    index: CellHashMap<u32>,
     cursors: Vec<u32>,
     filled: usize,
 }
@@ -321,70 +305,38 @@ impl CellMajorScatter {
     /// assigned ids by arrival order across the whole pass, so the
     /// stream must replay in the same order as the counting pass.
     pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
-        }
-        if self.bbox_min.is_empty() && !self.cells.is_empty() {
-            // Deferred so a mismatching replay fails before the big
-            // bbox allocation, not after.
-            self.bbox_min = vec![0.0f64; self.cells.len() * self.dims];
-            self.bbox_max = vec![0.0f64; self.cells.len() * self.dims];
-        }
-        for p in coords.chunks_exact(self.dims) {
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate {
-                        point: self.filled,
-                        dim: k,
-                    });
-                }
-            }
-            let coord = cell_of(p, self.side);
-            let ci = *self.index.get(&coord).ok_or(SpatialError::StreamMismatch)? as usize;
-            let rec = *self.cells.get(ci).ok_or(SpatialError::StreamMismatch)?;
-            let cursor = self
-                .cursors
-                .get_mut(ci)
-                .ok_or(SpatialError::StreamMismatch)?;
-            if *cursor >= rec.end {
+        let Self {
+            dims,
+            side,
+            n,
+            cols,
+            orig_ids,
+            cells,
+            index,
+            cursors,
+            filled,
+            ..
+        } = self;
+        for_each_cell(coords, *dims, *side, *filled, |id, p, cell| {
+            let ci = *index.get(&cell).ok_or(SpatialError::StreamMismatch)? as usize;
+            let end = cells.get(ci).ok_or(SpatialError::StreamMismatch)?.end;
+            let cursor = cursors.get_mut(ci).ok_or(SpatialError::StreamMismatch)?;
+            if *cursor >= end {
                 return Err(SpatialError::StreamMismatch);
             }
             let slot = *cursor as usize;
             *cursor += 1;
             for (k, &x) in p.iter().enumerate() {
-                if let Some(out) = self.cols.get_mut(k * self.n + slot) {
+                if let Some(out) = cols.get_mut(k * *n + slot) {
                     *out = x;
                 }
             }
-            if let Some(id) = self.orig_ids.get_mut(slot) {
-                *id = self.filled as PointId;
+            if let Some(out) = orig_ids.get_mut(slot) {
+                *out = id as PointId;
             }
-            let base = ci * self.dims;
-            if slot == rec.start as usize {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = x;
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = x;
-                    }
-                }
-            } else {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = mn.min(x);
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = mx.max(x);
-                    }
-                }
-            }
-            self.filled += 1;
-        }
-        Ok(())
+            *filled = id + 1;
+            Ok(())
+        })
     }
 
     /// Number of points scattered so far.
@@ -397,26 +349,30 @@ impl CellMajorScatter {
     /// disjoint contiguous slot range of every output buffer). Shard
     /// boundaries are balanced by slot count, never splitting a cell.
     ///
-    /// Every shard must replay the *entire* stream, in the same order as
-    /// the counting pass; each shard writes only the points that land in
-    /// its cells and skips the rest (tracking ids with a private replay
-    /// cursor). Because a point's final slot is a pure function of its
-    /// `(cell, arrival id)` — independent of which shard writes it — the
-    /// assembled store is byte-identical to a sequential scatter for any
-    /// `parts`. Finish with [`Self::finish_sharded`] after dropping the
-    /// shards.
+    /// The returned [`CellLocator`] resolves each point of a batch to its
+    /// cell index once; every shard then consumes those indices through
+    /// [`ScatterShard::place_batch`], seeing every batch in counting-pass
+    /// order and writing only the points of its own cells. Because a
+    /// point's final slot is a pure function of its `(cell, arrival id)`
+    /// — independent of which shard writes it — the assembled store is
+    /// byte-identical to a sequential scatter for any `parts`. Finish
+    /// with [`Self::finish_sharded`] after dropping the shards.
     ///
     /// Fewer than `parts` shards are returned when the store has fewer
     /// cells than `parts`; zero shards for an empty layout.
-    pub fn shards(&mut self, parts: usize) -> Vec<ScatterShard<'_>> {
-        if self.bbox_min.is_empty() && !self.cells.is_empty() {
-            self.bbox_min = vec![0.0f64; self.cells.len() * self.dims];
-            self.bbox_max = vec![0.0f64; self.cells.len() * self.dims];
+    pub fn shards(&mut self, parts: usize) -> (CellLocator<'_>, Vec<ScatterShard<'_>>) {
+        let locator = CellLocator {
+            dims: self.dims,
+            side: self.side,
+            index: &self.index,
+        };
+        if self.cells.is_empty() {
+            return (locator, Vec::new());
         }
         // Greedy slot-balanced cell boundaries: cut after a cell once the
         // shard holds its fair share of slots.
         let parts = parts.max(1).min(self.cells.len());
-        let mut cell_bounds: Vec<usize> = Vec::with_capacity(parts.saturating_sub(1));
+        let mut cell_bounds: Vec<usize> = Vec::with_capacity(parts - 1);
         if parts > 1 {
             let target = (self.n as f64 / parts as f64).max(1.0);
             let mut next_cut = target;
@@ -432,45 +388,30 @@ impl CellMajorScatter {
             .map(|&ci| self.cells.get(ci).map_or(self.n, |r| r.start as usize))
             .collect();
 
-        let n = self.n;
         // Split each coordinate column at the slot cuts; regroup the
         // per-dimension pieces into per-shard column sets below.
-        let mut col_pieces: Vec<Vec<&mut [f64]>> = Vec::with_capacity(self.dims);
-        for col in self.cols.chunks_mut(n.max(1)).take(self.dims) {
-            col_pieces.push(split_at_cuts(col, &slot_cuts));
-        }
+        let mut cols: Vec<std::vec::IntoIter<&mut [f64]>> = self
+            .cols
+            .chunks_mut(self.n.max(1))
+            .take(self.dims)
+            .map(|col| split_at_cuts(col, &slot_cuts).into_iter())
+            .collect();
         let id_pieces = split_at_cuts(self.orig_ids.as_mut_slice(), &slot_cuts);
         let cursor_pieces = split_at_cuts(self.cursors.as_mut_slice(), &cell_bounds);
-        let bbox_cuts: Vec<usize> = cell_bounds.iter().map(|&ci| ci * self.dims).collect();
-        let bbox_min_pieces = split_at_cuts(self.bbox_min.as_mut_slice(), &bbox_cuts);
-        let bbox_max_pieces = split_at_cuts(self.bbox_max.as_mut_slice(), &bbox_cuts);
 
         let mut shards = Vec::with_capacity(parts);
         let mut cell_start = 0usize;
         let mut slot_start = 0usize;
-        let mut cols: Vec<std::vec::IntoIter<&mut [f64]>> =
-            col_pieces.into_iter().map(Vec::into_iter).collect();
-        let zipped = id_pieces
-            .into_iter()
-            .zip(cursor_pieces)
-            .zip(bbox_min_pieces.into_iter().zip(bbox_max_pieces));
-        for (i, ((orig_ids, cursors), (bbox_min, bbox_max))) in zipped.enumerate() {
+        for (i, (orig_ids, cursors)) in id_pieces.into_iter().zip(cursor_pieces).enumerate() {
             let cell_end = cell_bounds.get(i).copied().unwrap_or(self.cells.len());
             let slot_end = slot_start + orig_ids.len();
-            if self.cells.is_empty() {
-                break;
-            }
             shards.push(ScatterShard {
                 dims: self.dims,
-                side: self.side,
-                cell_range: cell_start..cell_end,
+                cell_range: cell_start as u32..cell_end as u32,
                 slot_start,
                 cells: &self.cells,
-                index: &self.index,
                 cols: cols.iter_mut().filter_map(Iterator::next).collect(),
                 orig_ids,
-                bbox_min,
-                bbox_max,
                 cursors,
                 seen: 0,
                 filled: 0,
@@ -478,7 +419,7 @@ impl CellMajorScatter {
             cell_start = cell_end;
             slot_start = slot_end;
         }
-        shards
+        (locator, shards)
     }
 
     /// Completes a sharded scatter pass. Instead of the sequential
@@ -496,12 +437,15 @@ impl CellMajorScatter {
         self.finish()
     }
 
-    /// Completes the build. Fails with [`SpatialError::StreamMismatch`]
-    /// when the replay delivered fewer points than the counting pass.
+    /// Completes the build: checks that the replay delivered every
+    /// counted point, then computes the tight per-cell bounding boxes.
+    /// Fails with [`SpatialError::StreamMismatch`] when the replay
+    /// delivered fewer points than the counting pass.
     pub fn finish(self) -> Result<CellMajorStore, SpatialError> {
         if self.filled != self.n {
             return Err(SpatialError::StreamMismatch);
         }
+        let (bbox_min, bbox_max) = tight_bboxes(&self.cols, self.n, self.dims, &self.cells);
         Ok(CellMajorStore {
             dims: self.dims,
             eps: self.eps,
@@ -511,10 +455,107 @@ impl CellMajorScatter {
             orig_ids: self.orig_ids,
             cells: self.cells,
             index: self.index,
-            bbox_min: self.bbox_min,
-            bbox_max: self.bbox_max,
+            bbox_min,
+            bbox_max,
         })
     }
+}
+
+/// Tight bounding boxes of every cell's run `cells[c].range()` in the
+/// column-major buffer `cols` (stride `n`), as `(bbox_min, bbox_max)`
+/// with `dims` entries per cell. Each run is swept in slot order —
+/// ascending arrival id — seeding the box with the first point, so the
+/// boxes are bit-for-bit those of folding the points in one at a time,
+/// signed zeros included. An empty run leaves its box at zero.
+pub(crate) fn tight_bboxes(
+    cols: &[f64],
+    n: usize,
+    dims: usize,
+    cells: &[CellRecord],
+) -> (Vec<f64>, Vec<f64>) {
+    let mut bbox_min = vec![0.0f64; cells.len() * dims];
+    let mut bbox_max = vec![0.0f64; cells.len() * dims];
+    for k in 0..dims {
+        let col = cols.get(k * n..(k + 1) * n).unwrap_or(&[]);
+        for (ci, rec) in cells.iter().enumerate() {
+            let Some((&first, rest)) = col.get(rec.range()).and_then(<[f64]>::split_first) else {
+                continue;
+            };
+            let (mut mn, mut mx) = (first, first);
+            for &x in rest {
+                mn = mn.min(x);
+                mx = mx.max(x);
+            }
+            if let Some(out) = bbox_min.get_mut(ci * dims + k) {
+                *out = mn;
+            }
+            if let Some(out) = bbox_max.get_mut(ci * dims + k) {
+                *out = mx;
+            }
+        }
+    }
+    (bbox_min, bbox_max)
+}
+
+/// Fails unless `coords` holds a whole number of `dims`-dimensional
+/// points.
+fn check_whole_points(coords: &[f64], dims: usize) -> Result<(), SpatialError> {
+    if coords.len().is_multiple_of(dims) {
+        Ok(())
+    } else {
+        Err(SpatialError::DimensionMismatch {
+            expected: dims,
+            got: coords.len() % dims,
+        })
+    }
+}
+
+/// Validates one flat row-major batch and calls `f(id, point, cell)` for
+/// each point in order, `id` counting up from `first_id`.
+///
+/// # Errors
+///
+/// [`SpatialError::DimensionMismatch`] for a partial point,
+/// [`SpatialError::NonFiniteCoordinate`] for a NaN or infinite
+/// coordinate, or the first error `f` returns.
+#[inline(always)]
+fn for_each_cell(
+    coords: &[f64],
+    dims: usize,
+    side: f64,
+    first_id: usize,
+    f: impl FnMut(usize, &[f64], CellCoord) -> Result<(), SpatialError>,
+) -> Result<(), SpatialError> {
+    check_whole_points(coords, dims)?;
+    // A constant point length for d = 2 and d = 3 lets the compiler
+    // unroll the cell computation and its hash. On a 2-core host it took
+    // the one-thread streaming build of 2M 2-D points from 0.30 s to 0.20 s.
+    match dims {
+        2 => for_each_cell_of(coords, 2, side, first_id, f),
+        3 => for_each_cell_of(coords, 3, side, first_id, f),
+        _ => for_each_cell_of(coords, dims, side, first_id, f),
+    }
+}
+
+/// The loop of [`for_each_cell`] over points of length `dims`.
+#[inline(always)]
+fn for_each_cell_of(
+    coords: &[f64],
+    dims: usize,
+    side: f64,
+    first_id: usize,
+    mut f: impl FnMut(usize, &[f64], CellCoord) -> Result<(), SpatialError>,
+) -> Result<(), SpatialError> {
+    for (i, p) in coords.chunks_exact(dims).enumerate() {
+        let id = first_id + i;
+        for (k, &x) in p.iter().enumerate() {
+            if !x.is_finite() {
+                return Err(SpatialError::NonFiniteCoordinate { point: id, dim: k });
+            }
+        }
+        f(id, p, cell_of(p, side))?;
+    }
+    Ok(())
 }
 
 /// Splits `buf` at the given ascending absolute offsets, yielding
@@ -536,6 +577,50 @@ fn split_at_cuts<'a, T>(mut buf: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]
     out
 }
 
+/// Resolves points to their cell indices in a sharded scatter pass — the
+/// one hash lookup per point that every [`ScatterShard`] then shares.
+/// `Copy` and read-only, so a caller can resolve several batches of a
+/// group on separate threads at once.
+#[derive(Debug, Clone, Copy)]
+pub struct CellLocator<'a> {
+    dims: usize,
+    side: f64,
+    index: &'a CellHashMap<u32>,
+}
+
+impl CellLocator<'_> {
+    /// Dimensionality of the points it locates.
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// Replaces `out` with the cell index of every point of one flat
+    /// row-major batch whose first point has arrival id `first_id`. On
+    /// failure `out` holds the indices of the points before the failing
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`SpatialError::DimensionMismatch`] for a partial point,
+    /// [`SpatialError::NonFiniteCoordinate`] for a NaN or infinite
+    /// coordinate, and [`SpatialError::StreamMismatch`] for a point in a
+    /// cell pass 1 never counted.
+    pub fn locate_batch(
+        &self,
+        coords: &[f64],
+        first_id: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), SpatialError> {
+        out.clear();
+        out.reserve(coords.len() / self.dims);
+        let index = self.index;
+        for_each_cell(coords, self.dims, self.side, first_id, |_, _, cell| {
+            out.push(*index.get(&cell).ok_or(SpatialError::StreamMismatch)?);
+            Ok(())
+        })
+    }
+}
+
 /// One worker's slice of a partitioned scatter pass: a contiguous range
 /// of cells plus exclusive `&mut` views of exactly the output buffer
 /// segments those cells own. Produced by [`CellMajorScatter::shards`];
@@ -544,20 +629,15 @@ fn split_at_cuts<'a, T>(mut buf: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]
 #[derive(Debug)]
 pub struct ScatterShard<'a> {
     dims: usize,
-    side: f64,
     /// The cells this shard owns, as indices into the full table.
-    cell_range: Range<usize>,
+    cell_range: Range<u32>,
     /// First slot of the shard's buffer segments (`cells[cell_range.start].start`).
     slot_start: usize,
     /// The full cell table (shared, read-only).
     cells: &'a [CellRecord],
-    /// The full coordinate → cell index (shared, read-only).
-    index: &'a HashMap<CellCoord, u32, DetState>,
     /// Per-dimension column segments covering the shard's slots.
     cols: Vec<&'a mut [f64]>,
     orig_ids: &'a mut [PointId],
-    bbox_min: &'a mut [f64],
-    bbox_max: &'a mut [f64],
     /// Cursors of the owned cells (absolute slot values).
     cursors: &'a mut [u32],
     /// Points seen across the replay (the global arrival-id counter).
@@ -569,7 +649,7 @@ pub struct ScatterShard<'a> {
 impl ScatterShard<'_> {
     /// The cell indices this shard owns.
     pub fn cell_range(&self) -> Range<usize> {
-        self.cell_range.clone()
+        self.cell_range.start as usize..self.cell_range.end as usize
     }
 
     /// Number of points this shard has placed so far.
@@ -577,68 +657,49 @@ impl ScatterShard<'_> {
         self.filled
     }
 
-    /// Replays one flat row-major batch through this shard. Every shard
-    /// must see every batch, in counting-pass order; points outside the
-    /// shard's cell range only advance the arrival-id cursor.
-    pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
+    /// Places the points of one batch that fall in this shard's cells,
+    /// given the batch's cell indices from [`CellLocator::locate_batch`].
+    /// Every shard must see every batch, in counting-pass order; points
+    /// outside the shard's cell range only advance the arrival-id cursor.
+    ///
+    /// # Errors
+    ///
+    /// [`SpatialError::DimensionMismatch`] for a partial point, and
+    /// [`SpatialError::StreamMismatch`] when `cells` does not hold one
+    /// index per point or a cell receives more points than pass 1
+    /// counted.
+    pub fn place_batch(&mut self, coords: &[f64], cells: &[u32]) -> Result<(), SpatialError> {
+        check_whole_points(coords, self.dims)?;
+        if cells.len() * self.dims != coords.len() {
+            return Err(SpatialError::StreamMismatch);
         }
-        for p in coords.chunks_exact(self.dims) {
-            let id = self.seen;
-            self.seen += 1;
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate { point: id, dim: k });
-                }
-            }
-            let coord = cell_of(p, self.side);
-            let ci = *self.index.get(&coord).ok_or(SpatialError::StreamMismatch)? as usize;
+        let first_id = self.seen;
+        self.seen += cells.len();
+        for (i, (p, &ci)) in coords.chunks_exact(self.dims).zip(cells).enumerate() {
             if !self.cell_range.contains(&ci) {
                 continue;
             }
-            let rec = *self.cells.get(ci).ok_or(SpatialError::StreamMismatch)?;
-            let local_cell = ci - self.cell_range.start;
+            let end = self
+                .cells
+                .get(ci as usize)
+                .ok_or(SpatialError::StreamMismatch)?
+                .end;
             let cursor = self
                 .cursors
-                .get_mut(local_cell)
+                .get_mut((ci - self.cell_range.start) as usize)
                 .ok_or(SpatialError::StreamMismatch)?;
-            if *cursor >= rec.end {
+            if *cursor >= end {
                 return Err(SpatialError::StreamMismatch);
             }
-            let slot = *cursor as usize;
+            let local_slot = *cursor as usize - self.slot_start;
             *cursor += 1;
-            let local_slot = slot - self.slot_start;
             for (col, &x) in self.cols.iter_mut().zip(p) {
                 if let Some(out) = col.get_mut(local_slot) {
                     *out = x;
                 }
             }
             if let Some(out) = self.orig_ids.get_mut(local_slot) {
-                *out = id as PointId;
-            }
-            let base = local_cell * self.dims;
-            if slot == rec.start as usize {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = x;
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = x;
-                    }
-                }
-            } else {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = mn.min(x);
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = mx.max(x);
-                    }
-                }
+                *out = (first_id + i) as PointId;
             }
             self.filled += 1;
         }
@@ -799,7 +860,9 @@ impl CellMajorStore {
             return;
         };
         for off in offsets.iter() {
-            let ncoord = NeighborOffsets::apply(&rec.coord, off);
+            let Some(ncoord) = NeighborOffsets::apply(&rec.coord, off) else {
+                continue;
+            };
             let Some(&nidx) = self.index.get(&ncoord) else {
                 continue;
             };
@@ -1336,6 +1399,24 @@ mod tests {
         }
     }
 
+    /// A 3-D store spread over many cells (most holding a few points),
+    /// with negative coordinates and signed zeros.
+    fn store_3d_many_cells(n: usize) -> PointStore {
+        let rows = (0..n).map(|i| {
+            let i = i as f64;
+            vec![
+                ((i * 0.37) % 23.0) - 11.0,
+                ((i * 1.91) % 17.0) - 8.5,
+                if (i as usize).is_multiple_of(5) {
+                    -0.0
+                } else {
+                    ((i * 0.73) % 9.0) - 4.0
+                },
+            ]
+        });
+        PointStore::from_rows(3, rows).unwrap()
+    }
+
     #[test]
     fn index_round_trips() {
         let s = store_2d(&[[0.5, 0.5], [10.0, -3.0]]);
@@ -1344,6 +1425,21 @@ mod tests {
             assert_eq!(cm.cell_index(&rec.coord), Some(i as u32));
         }
         assert_eq!(cm.cell_index(&CellCoord::from_slice(&[999, 999])), None);
+
+        let s = store_3d_many_cells(700);
+        let cm = CellMajorStore::build(&s, 1.0).unwrap();
+        assert!(cm.num_cells() > 300, "{} cells", cm.num_cells());
+        for (i, rec) in cm.cells().iter().enumerate() {
+            assert_eq!(cm.cell_index(&rec.coord), Some(i as u32));
+        }
+        for (id, p) in s.iter() {
+            let ci = cm.cell_index(&cell_of(p, cm.side())).unwrap() as usize;
+            assert!(cm.orig_ids()[cm.cells()[ci].range()].contains(&id));
+        }
+        assert_eq!(
+            cm.cell_index(&CellCoord::from_slice(&[999, 999, 999])),
+            None
+        );
     }
 
     #[test]
@@ -1743,6 +1839,40 @@ mod tests {
         ));
     }
 
+    /// Builds `s` through the sharded pass 2, `parts` shards, `batch`
+    /// points per batch: each batch is located once, then every shard
+    /// consumes the same index slice.
+    fn sharded_build(s: &PointStore, eps: f64, parts: usize, batch: usize) -> CellMajorStore {
+        let dims = s.dims();
+        let mut b = CellMajorBuilder::new(dims, eps).unwrap();
+        for chunk in s.flat().chunks(batch * dims) {
+            b.count_batch(chunk).unwrap();
+        }
+        let mut sc = b.begin_scatter();
+        let (locator, mut shards) = sc.shards(parts);
+        assert!(!shards.is_empty() && shards.len() <= parts);
+        // Shards partition the cell table.
+        let mut next = 0usize;
+        for shard in &shards {
+            assert_eq!(shard.cell_range().start, next);
+            next = shard.cell_range().end;
+        }
+        let mut cells = Vec::new();
+        let mut first_id = 0;
+        for chunk in s.flat().chunks(batch * dims) {
+            locator.locate_batch(chunk, first_id, &mut cells).unwrap();
+            assert_eq!(cells.len() * dims, chunk.len());
+            first_id += cells.len();
+            for shard in &mut shards {
+                shard.place_batch(chunk, &cells).unwrap();
+            }
+        }
+        let placed: usize = shards.iter().map(ScatterShard::filled).sum();
+        assert_eq!(placed, s.len() as usize);
+        drop(shards);
+        sc.finish_sharded().unwrap()
+    }
+
     #[test]
     fn sharded_scatter_is_byte_identical_to_sequential() {
         let pts: Vec<[f64; 2]> = (0..61)
@@ -1753,34 +1883,76 @@ mod tests {
         let whole = CellMajorStore::build(&s, eps).unwrap();
         for parts in [1usize, 2, 3, 4, 7] {
             for batch in [1usize, 7, 61] {
-                let mut b = CellMajorBuilder::new(2, eps).unwrap();
-                for chunk in s.flat().chunks(batch * 2) {
-                    b.count_batch(chunk).unwrap();
-                }
-                let mut sc = b.begin_scatter();
-                let mut shards = sc.shards(parts);
-                assert!(!shards.is_empty() && shards.len() <= parts);
-                // Shards partition the cell table.
-                let mut next = 0usize;
-                for shard in &shards {
-                    assert_eq!(shard.cell_range().start, next);
-                    next = shard.cell_range().end;
-                }
-                // Every shard replays every batch (order per shard is the
-                // stream order; shards themselves could run on threads).
-                let mut placed = 0usize;
-                for shard in &mut shards {
-                    for chunk in s.flat().chunks(batch * 2) {
-                        shard.scatter_batch(chunk).unwrap();
-                    }
-                    placed += shard.filled();
-                }
-                assert_eq!(placed, 61);
-                drop(shards);
-                let sharded = sc.finish_sharded().unwrap();
-                assert_layout_identical(&whole, &sharded);
+                assert_layout_identical(&whole, &sharded_build(&s, eps, parts, batch));
             }
         }
+        // 3-D, many cells: shard cuts land between many small runs.
+        let s = store_3d_many_cells(700);
+        let whole = CellMajorStore::build(&s, 1.0).unwrap();
+        assert!(whole.num_cells() > 300);
+        for parts in [2usize, 3, 8] {
+            for batch in [1usize, 64, 700] {
+                assert_layout_identical(&whole, &sharded_build(&s, 1.0, parts, batch));
+            }
+        }
+    }
+
+    #[test]
+    fn bboxes_are_the_fold_of_each_run_in_id_order() {
+        // The post-pass must reproduce folding points in one at a time
+        // by arrival id, bit for bit (signed zeros included).
+        let s = store_3d_many_cells(700);
+        let cm = CellMajorStore::build(&s, 1.0).unwrap();
+        for (ci, rec) in cm.cells().iter().enumerate() {
+            for k in 0..3 {
+                let mut ids = cm.orig_ids()[rec.range()].iter();
+                let first = s.point(*ids.next().unwrap())[k];
+                let (mut mn, mut mx) = (first, first);
+                for &id in ids {
+                    let x = s.point(id)[k];
+                    mn = mn.min(x);
+                    mx = mx.max(x);
+                }
+                assert_eq!(cm.bbox_min[ci * 3 + k].to_bits(), mn.to_bits());
+                assert_eq!(cm.bbox_max[ci * 3 + k].to_bits(), mx.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn locator_and_shards_reject_bad_replays() {
+        let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+        b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
+        let mut sc = b.begin_scatter();
+        let (locator, mut shards) = sc.shards(2);
+        let mut cells = Vec::new();
+        assert!(matches!(
+            locator.locate_batch(&[0.1, 0.1, 50.0, 50.0], 0, &mut cells),
+            Err(SpatialError::StreamMismatch)
+        ));
+        assert!(matches!(
+            locator.locate_batch(&[0.1, f64::INFINITY], 7, &mut cells),
+            Err(SpatialError::NonFiniteCoordinate { point: 7, dim: 1 })
+        ));
+        assert!(matches!(
+            locator.locate_batch(&[0.1], 0, &mut cells),
+            Err(SpatialError::DimensionMismatch { .. })
+        ));
+        locator
+            .locate_batch(&[0.1, 0.1, 5.0, 5.0], 0, &mut cells)
+            .unwrap();
+        // One index per point, or the shard refuses the batch.
+        assert!(matches!(
+            shards[0].place_batch(&[0.1, 0.1, 5.0, 5.0], &cells[..1]),
+            Err(SpatialError::StreamMismatch)
+        ));
+        // A cell receiving more points than counted.
+        let first = &mut shards[0];
+        first.place_batch(&[0.1, 0.1], &cells[..1]).unwrap();
+        assert!(matches!(
+            first.place_batch(&[0.1, 0.1], &cells[..1]),
+            Err(SpatialError::StreamMismatch)
+        ));
     }
 
     #[test]
@@ -1788,10 +1960,14 @@ mod tests {
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
         b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut sc = b.begin_scatter();
-        let mut shards = sc.shards(2);
+        let (locator, mut shards) = sc.shards(2);
+        let mut cells = Vec::new();
+        locator
+            .locate_batch(&[0.1, 0.1, 5.0, 5.0], 0, &mut cells)
+            .unwrap();
         // Only the first shard replays: its cells fill, the rest don't.
         if let Some(first) = shards.first_mut() {
-            first.scatter_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
+            first.place_batch(&[0.1, 0.1, 5.0, 5.0], &cells).unwrap();
         }
         drop(shards);
         assert!(matches!(
@@ -1804,7 +1980,13 @@ mod tests {
     fn empty_layout_yields_no_shards() {
         let b = CellMajorBuilder::new(2, 1.0).unwrap();
         let mut sc = b.begin_scatter();
-        assert!(sc.shards(4).is_empty());
+        let (locator, shards) = sc.shards(4);
+        assert!(shards.is_empty());
+        // A replay with points is a mismatch, not silently dropped.
+        assert!(matches!(
+            locator.locate_batch(&[0.1, 0.1], 0, &mut Vec::new()),
+            Err(SpatialError::StreamMismatch)
+        ));
         assert!(sc.finish_sharded().unwrap().is_empty());
     }
 

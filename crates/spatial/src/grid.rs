@@ -1,27 +1,22 @@
 //! The grid: a complete, non-overlapping partition of a dataset into
 //! ε-cells (paper Definition 5, Algorithm 1).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-use crate::cell::{cell_of, cell_side, CellCoord};
+use crate::cell::{cell_of, cell_side, CellCoord, CellHashMap};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
-
-type DetState = BuildHasherDefault<DefaultHasher>;
 
 /// Per-cell point lists for one dataset and one ε.
 ///
 /// The number of non-empty cells is O(n); each point belongs to exactly
 /// one cell. Iteration order is deterministic for a given dataset (the
-/// map uses a fixed-key hasher), which keeps parallel runs reproducible.
+/// map uses the unseeded [`crate::CellHasher`]), which keeps parallel
+/// runs reproducible.
 #[derive(Debug, Clone)]
 pub struct Grid {
     eps: f64,
     side: f64,
     dims: usize,
-    cells: HashMap<CellCoord, Vec<PointId>, DetState>,
+    cells: CellHashMap<Vec<PointId>>,
 }
 
 impl Grid {
@@ -37,7 +32,7 @@ impl Grid {
         }
         let dims = store.dims();
         let side = cell_side(eps, dims);
-        let mut cells: HashMap<CellCoord, Vec<PointId>, DetState> = HashMap::default();
+        let mut cells: CellHashMap<Vec<PointId>> = CellHashMap::default();
         for (id, p) in store.iter() {
             cells.entry(cell_of(p, side)).or_default().push(id);
         }
@@ -73,37 +68,35 @@ impl Grid {
         let dims = store.dims();
         let side = cell_side(eps, dims);
         let chunk = n.div_ceil(threads);
-        let partials: Vec<HashMap<CellCoord, Vec<PointId>, DetState>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        scope.spawn(move || {
-                            let mut local: HashMap<CellCoord, Vec<PointId>, DetState> =
-                                HashMap::default();
-                            for id in lo..hi {
-                                let p = store.point(id as PointId);
-                                local
-                                    .entry(cell_of(p, side))
-                                    .or_default()
-                                    .push(id as PointId);
-                            }
+        let partials: Vec<CellHashMap<Vec<PointId>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let lo = t * chunk;
+                    let hi = ((t + 1) * chunk).min(n);
+                    scope.spawn(move || {
+                        let mut local: CellHashMap<Vec<PointId>> = CellHashMap::default();
+                        for id in lo..hi {
+                            let p = store.point(id as PointId);
                             local
-                        })
+                                .entry(cell_of(p, side))
+                                .or_default()
+                                .push(id as PointId);
+                        }
+                        local
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(local) => local,
-                        // Re-raise a worker panic on the caller thread
-                        // instead of discarding partial results.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-        let mut cells: HashMap<CellCoord, Vec<PointId>, DetState> = HashMap::default();
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(local) => local,
+                    // Re-raise a worker panic on the caller thread
+                    // instead of discarding partial results.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        let mut cells: CellHashMap<Vec<PointId>> = CellHashMap::default();
         // Merge in chunk order so per-cell ids stay ascending.
         for partial in partials {
             for (cell, ids) in partial {

@@ -39,9 +39,9 @@ pub mod mutable;
 pub mod neighbors;
 pub mod points;
 
-pub use cell::{CellCoord, MAX_DIMS};
+pub use cell::{CellCoord, CellHashMap, CellHasher, MAX_DIMS};
 pub use cell_major::{
-    CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, ScatterShard,
+    CellLocator, CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, ScatterShard,
 };
 pub use distance::KernelKind;
 pub use error::SpatialError;

@@ -41,8 +41,8 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
-use crate::cell_major::{CellMajorStore, CellRecord};
+use crate::cell::{cell_of, cell_side, CellCoord, CellHashMap, MAX_DIMS};
+use crate::cell_major::{tight_bboxes, CellMajorStore, CellRecord};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
 
@@ -503,8 +503,7 @@ impl MutableCellMajor {
         let dims = self.store.dims;
         let side = self.store.side;
         // Tally per-cell occupancy, then fix the canonical cell order.
-        let mut counts: std::collections::HashMap<CellCoord, u32> =
-            std::collections::HashMap::new();
+        let mut counts: CellHashMap<u32> = CellHashMap::default();
         for (_, p) in pts {
             *counts
                 .entry(cell_of(p.get(..dims).unwrap_or(&[]), side))
@@ -517,8 +516,7 @@ impl MutableCellMajor {
 
         let mut cells = Vec::with_capacity(keyed.len());
         let mut caps = Vec::with_capacity(keyed.len());
-        let mut index =
-            std::collections::HashMap::with_capacity_and_hasher(keyed.len(), Default::default());
+        let mut index = CellHashMap::with_capacity_and_hasher(keyed.len(), Default::default());
         let mut cursor = 0usize;
         for (ci, &(coord, k)) in keyed.iter().enumerate() {
             let len = k as usize;
@@ -534,8 +532,6 @@ impl MutableCellMajor {
         let n = cursor + 16.max(cursor / 8);
         let mut cols = vec![0.0; dims * n];
         let mut orig_ids = vec![TOMBSTONE; n];
-        let mut bbox_min = vec![f64::INFINITY; dims * keyed.len()];
-        let mut bbox_max = vec![f64::NEG_INFINITY; dims * keyed.len()];
         let max_id = pts.last().map(|&(id, _)| id as usize + 1).unwrap_or(0);
         let mut slot_of = vec![TOMBSTONE; max_id.max(self.slot_of.len())];
         for (id, p) in pts {
@@ -556,13 +552,6 @@ impl MutableCellMajor {
                 if let Some(dst) = cols.get_mut(k * n + slot) {
                     *dst = x;
                 }
-                let base = ci * dims + k;
-                if let Some(mn) = bbox_min.get_mut(base) {
-                    *mn = mn.min(x);
-                }
-                if let Some(mx) = bbox_max.get_mut(base) {
-                    *mx = mx.max(x);
-                }
             }
             if let Some(dst) = orig_ids.get_mut(slot) {
                 *dst = *id;
@@ -571,6 +560,7 @@ impl MutableCellMajor {
                 *s = slot as u32;
             }
         }
+        let (bbox_min, bbox_max) = tight_bboxes(&cols, n, dims, &cells);
         self.store.n = n;
         self.store.cols = cols;
         self.store.orig_ids = orig_ids;
@@ -655,7 +645,9 @@ mod tests {
             let coord = cell_of(q, s.side());
             let mut got: Vec<PointId> = Vec::new();
             for off in offsets.iter() {
-                let ncoord = NeighborOffsets::apply(&coord, off);
+                let Some(ncoord) = NeighborOffsets::apply(&coord, off) else {
+                    continue;
+                };
                 let Some(ci) = s.cell_index(&ncoord) else {
                     continue;
                 };

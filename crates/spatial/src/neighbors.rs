@@ -71,15 +71,19 @@ impl NeighborOffsets {
         self.flat.chunks_exact(self.dims)
     }
 
-    /// The cell displaced from `cell` by offset `off`.
+    /// The cell displaced from `cell` by offset `off`, or `None` when a
+    /// coordinate would leave the `i64` range. Such a cell holds no
+    /// point, so callers skip it.
     #[inline]
-    pub fn apply(cell: &CellCoord, off: &[i8]) -> CellCoord {
+    pub fn apply(cell: &CellCoord, off: &[i8]) -> Option<CellCoord> {
         let mut coords = [0i64; MAX_DIMS];
         let c = cell.coords();
         for ((out, &a), &o) in coords.iter_mut().zip(c).zip(off) {
-            *out = a + o as i64;
+            *out = a.checked_add(i64::from(o))?;
         }
-        CellCoord::from_slice(coords.get(..c.len()).unwrap_or(&coords))
+        Some(CellCoord::from_slice(
+            coords.get(..c.len()).unwrap_or(&coords),
+        ))
     }
 }
 
@@ -254,8 +258,35 @@ mod tests {
     #[test]
     fn apply_offsets() {
         let cell = CellCoord::from_slice(&[10, -5]);
-        let got = NeighborOffsets::apply(&cell, &[-1, 2]);
+        let got = NeighborOffsets::apply(&cell, &[-1, 2]).unwrap();
         assert_eq!(got.coords(), &[9, -3]);
+    }
+
+    #[test]
+    fn apply_skips_cells_past_the_i64_edge() {
+        // `cell_of` saturates huge inputs to the i64 edge; neighbors
+        // beyond it are unrepresentable and must be skipped, not wrap
+        // around to the other end of the grid.
+        let offs = NeighborOffsets::new(2).unwrap();
+        for edge in [i64::MAX, i64::MIN] {
+            let cell = CellCoord::from_slice(&[edge, 0]);
+            let mut kept = 0;
+            for off in offs.iter() {
+                let toward_outside = if edge > 0 { off[0] > 0 } else { off[0] < 0 };
+                match NeighborOffsets::apply(&cell, off) {
+                    Some(n) => {
+                        assert!(!toward_outside, "offset {off:?} wrapped at {edge}");
+                        assert_eq!(n.coords()[0], edge + i64::from(off[0]));
+                        assert_eq!(n.coords()[1], i64::from(off[1]));
+                        kept += 1;
+                    }
+                    None => assert!(toward_outside, "offset {off:?} dropped at {edge}"),
+                }
+            }
+            // Of the 21 offsets, the 13 whose first component is zero or
+            // points back into the grid remain (5 + 5 + 3).
+            assert_eq!(kept, 13, "edge {edge}");
+        }
     }
 
     #[test]

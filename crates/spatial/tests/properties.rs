@@ -83,7 +83,9 @@ fn pairs_within_eps_are_in_neighboring_cells() {
                 }
                 let ca = grid.cell_for(pa);
                 let cb = grid.cell_for(pb);
-                let found = offsets.iter().any(|o| NeighborOffsets::apply(&ca, o) == cb);
+                let found = offsets
+                    .iter()
+                    .any(|o| NeighborOffsets::apply(&ca, o) == Some(cb));
                 assert!(
                     found,
                     "pair at dist {} not in neighboring cells",

@@ -114,8 +114,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "XL007" => {
             "XL007 — determinism (hash-ordered iteration)\n\
              \n\
-             Iterating a `HashMap`/`HashSet`/`DetHashMap` yields entries in\n\
-             hash-layout order. Where that order can reach results or shuffle\n\
+             Iterating a `HashMap`/`HashSet`/`DetHashMap`/`CellHashMap` yields\n\
+             entries in hash-layout order. Where that order can reach results or shuffle\n\
              payloads it threatens the byte-identical-labels guarantee, so\n\
              iteration sites (`iter`, `keys`, `values`, `into_iter`, `drain`,\n\
              `retain`, `for .. in map`) over hash-typed bindings are flagged in\n\

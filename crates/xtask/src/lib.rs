@@ -28,7 +28,7 @@
 //!   machine-readable output and cannot be silenced, so diagnostics go
 //!   through the `dbscout-telemetry` recorder or returned values.
 //! * **XL007 determinism** — no iteration over hash-ordered containers
-//!   (`HashMap`/`HashSet`/`DetHashMap`) in the result-affecting crates
+//!   (`HashMap`/`HashSet`/`DetHashMap`/`CellHashMap`) in the result-affecting crates
 //!   (`core`, `spatial`, `dataflow`); the byte-identical-labels
 //!   guarantee must not depend on hash-bucket layout. Order-insensitive
 //!   sites are waived per site with `// xlint: ordered -- <reason>`.
@@ -71,6 +71,7 @@
         clippy::float_cmp
     )
 )]
+pub mod bench_diff;
 pub mod diag;
 pub mod layout_check;
 pub mod lexer;

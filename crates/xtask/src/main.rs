@@ -1,5 +1,5 @@
-//! CLI for workspace automation: the custom lint suite and the run-report
-//! schema checker.
+//! CLI for workspace automation: the custom lint suite, the run-report
+//! schema checker and the benchmark diff.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,7 +24,12 @@ fn usage() -> &'static str {
      \x20 check-layout [--root DIR]    assert the cell-major layout is the\n\
      \x20                              native engine's `#[default]` (release\n\
      \x20                              builds must not silently fall back to\n\
-     \x20                              the hashed path)\n\n\
+     \x20                              the hashed path)\n\
+     \x20 bench-diff <parent> <change> compare two perfbench results files\n\
+     \x20                              (.bench_out/results-*.json) under the\n\
+     \x20                              end-to-end metrics, directions and\n\
+     \x20                              bounds of BENCHMARK.json; exits 1 on\n\
+     \x20                              a regression, 2 on unreadable input\n\n\
      lint options:\n\
      \x20 --json      emit findings as one JSON document\n\
      \x20 --root DIR  workspace root to lint (default: CARGO_WORKSPACE_DIR\n\
@@ -46,6 +51,7 @@ fn main() -> ExitCode {
         "check-report" => check_report(args),
         "check-trace" => check_trace(args),
         "check-layout" => check_layout(args),
+        "bench-diff" => bench_diff(args),
         _ => {
             eprintln!("error: unknown command {cmd:?}\n\n{}", usage());
             ExitCode::FAILURE
@@ -116,6 +122,41 @@ fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."))
+}
+
+fn bench_diff(mut args: impl Iterator<Item = String>) -> ExitCode {
+    let (Some(parent), Some(change), None) = (args.next(), args.next(), args.next()) else {
+        eprintln!(
+            "error: bench-diff takes exactly two results files\n\n{}",
+            usage()
+        );
+        return ExitCode::FAILURE;
+    };
+    let benchmark = workspace_root().join("BENCHMARK.json");
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))
+    };
+    let diff = read(&parent)
+        .and_then(|p| Ok((p, read(&change)?)))
+        .and_then(|(p, c)| {
+            let b = read(&benchmark.to_string_lossy())?;
+            xtask::bench_diff::diff(&p, &c, &b)
+        });
+    match diff {
+        Ok(diff) => {
+            print!("{}", diff.render());
+            if diff.has_regression() {
+                eprintln!("xtask bench-diff: regression beyond a BENCHMARK.json bound");
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 fn check_layout(mut args: impl Iterator<Item = String>) -> ExitCode {

@@ -647,7 +647,7 @@ pub fn stdout_discipline(
 
 /// The hash-ordered container types whose iteration order depends on
 /// hash-bucket layout rather than on anything the algorithm controls.
-const HASH_TYPES: [&[u8]; 3] = [b"HashMap", b"HashSet", b"DetHashMap"];
+const HASH_TYPES: [&[u8]; 4] = [b"HashMap", b"HashSet", b"DetHashMap", b"CellHashMap"];
 
 /// Methods that observe a container's iteration order.
 const ITER_METHODS: [&[u8]; 10] = [
@@ -709,7 +709,8 @@ fn binding_for_ctor(b: &[u8], s: usize, e: usize) -> Option<Vec<u8>> {
     (!name.is_empty() && name != b"mut").then(|| name.to_vec())
 }
 
-/// XL007 — determinism: iterating a `HashMap`/`HashSet`/`DetHashMap`
+/// XL007 — determinism: iterating a `HashMap`/`HashSet`/`DetHashMap`/
+/// `CellHashMap`
 /// yields entries in hash-bucket order. Where that order can reach
 /// results or shuffle payloads it threatens the byte-identical-labels
 /// guarantee, so iteration over hash-typed bindings is flagged. Sites

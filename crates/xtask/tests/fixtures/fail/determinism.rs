@@ -21,3 +21,7 @@ pub fn ctor_tracked() -> usize {
     }
     counts.len()
 }
+
+pub fn cell_map_tracked(types: &CellHashMap<u8>) -> Vec<u8> {
+    types.values().copied().collect()
+}

@@ -130,6 +130,7 @@ fn xl007_hash_iteration_flagged_at_exact_lines() {
             ("XL007", 6),  // for .. in cells.values()
             ("XL007", 13), // seen.into_iter()
             ("XL007", 19), // for .. in &counts (ctor-tracked binding)
+            ("XL007", 26), // types.values() (cell-keyed map alias)
         ]
     );
 }
