@@ -27,7 +27,7 @@
 
 use dbscout_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbscout_bench::workloads;
-use dbscout_core::{Dbscout, DbscoutParams, ExecutionLayout};
+use dbscout_core::{Dbscout, DbscoutParams};
 use dbscout_data::io::read_binary;
 use dbscout_data::BinarySource;
 
@@ -42,7 +42,7 @@ fn bench_streaming(c: &mut Criterion) {
     let _store = workloads::streaming1m(n, &path);
     let params = DbscoutParams::new(workloads::STREAMING1M_EPS, workloads::STREAMING1M_MIN_PTS)
         .expect("valid params");
-    let detector = Dbscout::new(params).with_layout(ExecutionLayout::CellMajor);
+    let detector = Dbscout::new(params);
 
     let mut g = c.benchmark_group(&format!("streaming_uniform2d_{n}"));
     g.sample_size(10);

@@ -40,21 +40,20 @@ pub const OSM_PERCENT_LADDER: [usize; 8] = [1, 25, 50, 75, 100, 200, 500, 1000];
 
 /// Side length of the [`uniform2d`] domain. At 1M points this gives a
 /// density of one point per unit², so [`UNIFORM2D_EPS`] cells hold a
-/// double-digit point count — the worst case for the hashed layout
-/// (every phase-3/5 task probes all 21 neighbor cells through the map).
+/// double-digit point count, and every phase-3/5 task scans all 21
+/// neighbor cells.
 pub const UNIFORM2D_SIDE: f64 = 1_000.0;
 
-/// ε for the uniform-2d layout benchmark (ε-cell side ≈ 3.5 units).
+/// ε for the uniform-2d scaling benchmark (ε-cell side ≈ 3.5 units).
 pub const UNIFORM2D_EPS: f64 = 5.0;
 
-/// minPts for the uniform-2d layout benchmark: high enough that most
+/// minPts for the uniform-2d scaling benchmark: high enough that most
 /// cells are not dense, so the counted kernel does real work.
 pub const UNIFORM2D_MIN_PTS: usize = 50;
 
 /// `n` points uniform on `[0, UNIFORM2D_SIDE)²`. Unlike the clustered
 /// GPS-like workloads, uniform data spreads the points across *every*
-/// grid cell, which maximizes the number of per-cell neighbor lookups —
-/// exactly the access pattern the cell-major layout exists to serve.
+/// grid cell, which maximizes the number of per-cell neighbor lookups.
 // Construction cannot fail: dims is the literal 2 (under MAX_DIMS) and
 // every coordinate is a finite uniform sample. As in `dbscout_data`'s
 // generators, a failure is a generator bug and should panic loudly.

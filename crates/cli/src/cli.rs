@@ -13,7 +13,6 @@ usage:
   dbscout detect   --input <csv|bin> --eps <f64> --min-pts <usize>
                    [--engine native|distributed] [--labeled]
                    [--output <csv>] [--threads <usize>]
-                   [--layout cell-major|hashed]
                    [--kernel scalar|unrolled|auto]
                    [--backend in-process|process] [--workers <usize>]
                    [--respawn-budget <usize>]
@@ -30,7 +29,6 @@ usage:
   dbscout compare  --input <labeled csv> [--eps <f64>] [--min-pts <usize>] [--k <usize>]
   dbscout serve    --input <csv|bin> --eps <f64> --min-pts <usize>
                    [--from-binary] [--labeled] [--batch-size <usize>]
-                   [--layout cell-major|hashed]
                    [--kernel scalar|unrolled|auto] [--threads <usize>]
                    [--socket <path>]
                    [--trace-out <json>] [--report-json <json>]";

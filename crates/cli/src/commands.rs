@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dbscout_core::{
-    build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig,
-    ExecutionLayout, KernelKind, NativeOptions, PhaseTimings, RunInfo, PHASE_NAMES,
+    build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, KernelKind,
+    NativeOptions, PhaseTimings, RunInfo, PHASE_NAMES,
 };
 use dbscout_data::generators as gen;
 use dbscout_data::io::{read_csv_with, write_binary, write_csv, IngestMode, QuarantineReport};
@@ -54,17 +54,6 @@ pub(crate) fn load_dataset(
     mode: IngestMode,
 ) -> Result<CsvIngest, CliError> {
     read_csv_with(path, labeled, mode).map_err(data_err)
-}
-
-/// Parses the `--layout` flag for the native engine.
-pub(crate) fn parse_layout(s: &str) -> Result<ExecutionLayout, CliError> {
-    match s {
-        "cell-major" => Ok(ExecutionLayout::CellMajor),
-        "hashed" => Ok(ExecutionLayout::Hashed),
-        other => Err(CliError::new(format!(
-            "unknown layout {other:?} (expected cell-major or hashed)"
-        ))),
-    }
 }
 
 /// Parses the `--kernel` flag for the native engine.
@@ -263,9 +252,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     // the engine arms below read from it instead of re-parsing flags.
     let exec = ExecutionConfig::new()
         .with_threads(flags.get("threads", 0)?)
-        .with_layout(parse_layout(
-            &flags.get("layout", "cell-major".to_string())?,
-        )?)
         .with_kernel(parse_kernel(&flags.get("kernel", "auto".to_string())?)?)
         .with_workers(workers);
 
@@ -306,11 +292,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     let mut run_partitions = 0u64;
     let result = match engine.as_str() {
         "native" if backend == "process" => {
-            if exec.layout != ExecutionLayout::CellMajor {
-                return Err(CliError::new(
-                    "--backend process shards the cell-major layout only",
-                ));
-            }
             run_workers = workers as u64;
             let exe = std::env::current_exe()
                 .map_err(|e| CliError::engine(format!("cannot locate own executable: {e}")))?;
@@ -402,12 +383,12 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     };
     let elapsed = t.elapsed();
     // The resolved execution echo: the concrete kernel the run used
-    // (never "auto"; hashed layouts pin to scalar) and the in-process
-    // thread count. The distributed engine's distance path is scalar
-    // and its parallelism is the worker count echoed above.
+    // (never "auto") and the in-process thread count. The distributed
+    // engine's distance path is scalar and its parallelism is the worker
+    // count echoed above.
     let (run_kernel, run_threads) = if engine == "native" {
         (
-            exec.resolved_kernel().as_str().to_owned(),
+            exec.kernel.resolve().as_str().to_owned(),
             exec.resolved_threads() as u64,
         )
     } else {
@@ -855,39 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn detect_layouts_agree() {
-        let data = tmp("layouts.csv");
-        run(&argv(&[
-            "generate",
-            "--dataset",
-            "blobs",
-            "--n",
-            "800",
-            "--output",
-            &data,
-        ]))
-        .unwrap();
-        let base = ["detect", "--input", &data, "--eps", "0.6", "--min-pts", "5"];
-        let cell_major = run(&argv(&base)).unwrap();
-        let mut with_flag = base.to_vec();
-        with_flag.extend(["--layout", "hashed"]);
-        let hashed = run(&argv(&with_flag)).unwrap();
-        let count = |r: &str| {
-            r.lines()
-                .nth(1)
-                .unwrap()
-                .split_whitespace()
-                .next()
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(count(&cell_major), count(&hashed));
-        let mut bad = base.to_vec();
-        bad.extend(["--layout", "diagonal"]);
-        assert!(run(&argv(&bad)).is_err());
-    }
-
-    #[test]
     fn kernel_flag_is_equivalent_and_echoed() {
         use dbscout_telemetry::json::parse;
 
@@ -921,15 +869,9 @@ mod tests {
         let unrolled = run(&argv(&unrolled_args)).unwrap();
         assert!(unrolled.contains("kernel = unrolled"), "{unrolled}");
         assert_eq!(count(&scalar), count(&unrolled));
-        // The default (auto) resolves to unrolled on cell-major, and a
-        // hashed layout pins to scalar regardless of the flag.
+        // The default (auto) resolves to unrolled.
         let auto = run(&argv(&base)).unwrap();
         assert!(auto.contains("kernel = unrolled"), "{auto}");
-        let mut hashed_args = base.to_vec();
-        hashed_args.extend(["--layout", "hashed", "--kernel", "unrolled"]);
-        let hashed = run(&argv(&hashed_args)).unwrap();
-        assert!(hashed.contains("kernel = scalar"), "{hashed}");
-        assert_eq!(count(&scalar), count(&hashed));
         // Unknown kernels are usage errors.
         let mut bad = base.to_vec();
         bad.extend(["--kernel", "fma"]);

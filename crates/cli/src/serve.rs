@@ -40,7 +40,7 @@ use dbscout_telemetry::json::{escape, parse, Value};
 use dbscout_telemetry::{Recorder, ServeReport, Span, SpanKind, TraceCollector};
 
 use crate::cli::{CliError, Flags};
-use crate::commands::{load_dataset, parse_kernel, parse_layout};
+use crate::commands::{load_dataset, parse_kernel};
 
 /// Warm serving state: the incremental detector plus the session's
 /// operation tally and (optional) trace collector.
@@ -201,17 +201,13 @@ fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
             (
                 format!(
                     "{{\"ok\":true,\"op\":\"stats\",\"points\":{},\"total_inserted\":{},\
-                     \"outliers\":{},\"core\":{},\"layout\":\"{}\",\"kernel\":\"{}\",\
+                     \"outliers\":{},\"core\":{},\"kernel\":\"{}\",\
                      \"rebuilds\":{},\"compactions\":{},\"cells_visited\":{},\
                      \"bbox_prunes\":{},\"early_exit_hits\":{},\"distance_evals\":{}}}",
                     inc.len(),
                     inc.total_inserted(),
                     inc.outliers().len(),
                     core,
-                    match inc.layout() {
-                        dbscout_core::ExecutionLayout::CellMajor => "cell-major",
-                        dbscout_core::ExecutionLayout::Hashed => "hashed",
-                    },
                     inc.kernel().as_str(),
                     inc.rebuilds(),
                     inc.compactions(),
@@ -290,7 +286,6 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     if batch_size == 0 {
         return Err(CliError::new("--batch-size must be at least 1"));
     }
-    let layout = parse_layout(&flags.get("layout", "cell-major".to_string())?)?;
     let kernel = parse_kernel(&flags.get("kernel", "auto".to_string())?)?;
     // Accepted for flag-surface parity with `detect` and echoed in the
     // run report; the warm engine answers each query on one thread.
@@ -312,16 +307,12 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     let dims = store.dims() as u64;
 
     let t = Instant::now();
-    let inc = IncrementalDbscout::from_store_with(&store, params, layout, kernel)
+    let inc = IncrementalDbscout::from_store_with(&store, params, kernel)
         .map_err(|e| CliError::engine(e.to_string()))?;
     eprintln!(
-        "dbscout serve: {} points warm in {:?} (layout = {}, kernel = {}), {} outliers",
+        "dbscout serve: {} points warm in {:?} (kernel = {}), {} outliers",
         inc.len(),
         t.elapsed(),
-        match inc.layout() {
-            dbscout_core::ExecutionLayout::CellMajor => "cell-major",
-            dbscout_core::ExecutionLayout::Hashed => "hashed",
-        },
         inc.kernel().as_str(),
         inc.outliers().len(),
     );
@@ -439,11 +430,9 @@ fn serve_on_socket(state: &mut ServeState, path: &str) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscout_core::ExecutionLayout;
-    use dbscout_spatial::KernelKind;
     use std::io::Cursor;
 
-    fn warm_state(layout: ExecutionLayout) -> ServeState {
+    fn warm_state() -> ServeState {
         // A dense 3×3 grid plus one far-away outlier, ids 0..=9.
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for i in 0..3 {
@@ -454,8 +443,7 @@ mod tests {
         rows.push(vec![100.0, 100.0]);
         let store = dbscout_spatial::PointStore::from_rows(2, rows).unwrap();
         let params = DbscoutParams::new(1.0, 4).unwrap();
-        let inc =
-            IncrementalDbscout::from_store_with(&store, params, layout, KernelKind::Auto).unwrap();
+        let inc = IncrementalDbscout::from_store(&store, params).unwrap();
         ServeState::new(inc, None)
     }
 
@@ -469,79 +457,77 @@ mod tests {
 
     #[test]
     fn protocol_round_trip_probe_insert_remove_outliers() {
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            let mut state = warm_state(layout);
-            let (responses, shutdown) = run_lines(
-                &mut state,
-                &[
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"probe","point":[0.1,0.1]}"#,
-                    r#"{"op":"probe","point":[50.0,50.0]}"#,
-                    r#"{"op":"insert","point":[50.0,50.0]}"#,
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"remove","id":10}"#,
-                    r#"{"op":"remove","id":10}"#,
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"stats"}"#,
-                    r#"{"op":"shutdown"}"#,
-                ],
-            );
-            assert!(shutdown);
-            assert_eq!(responses.len(), 10, "{responses:?}");
-            assert_eq!(
-                responses[0],
-                r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
-            );
-            // Probing inside the dense grid answers core; far away, outlier.
-            assert_eq!(responses[1], r#"{"ok":true,"op":"probe","label":"core"}"#);
-            assert_eq!(
-                responses[2],
-                r#"{"ok":true,"op":"probe","label":"outlier"}"#
-            );
-            // The probe did not mutate: the insert gets the next id (10).
-            assert_eq!(
-                responses[3],
-                r#"{"ok":true,"op":"insert","id":10,"label":"outlier"}"#
-            );
-            assert_eq!(
-                responses[4],
-                r#"{"ok":true,"op":"outliers","count":2,"ids":[9,10]}"#
-            );
-            assert_eq!(
-                responses[5],
-                r#"{"ok":true,"op":"remove","id":10,"removed":true}"#
-            );
-            // Re-removing is a miss, answered — not an error.
-            assert_eq!(
-                responses[6],
-                r#"{"ok":true,"op":"remove","id":10,"removed":false}"#
-            );
-            assert_eq!(
-                responses[7],
-                r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
-            );
-            assert!(responses[8].contains("\"points\":10"), "{}", responses[8]);
-            assert!(
-                responses[8].contains("\"total_inserted\":11"),
-                "{}",
-                responses[8]
-            );
-            assert_eq!(responses[9], r#"{"ok":true,"op":"shutdown"}"#);
+        let mut state = warm_state();
+        let (responses, shutdown) = run_lines(
+            &mut state,
+            &[
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"probe","point":[0.1,0.1]}"#,
+                r#"{"op":"probe","point":[50.0,50.0]}"#,
+                r#"{"op":"insert","point":[50.0,50.0]}"#,
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"remove","id":10}"#,
+                r#"{"op":"remove","id":10}"#,
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"stats"}"#,
+                r#"{"op":"shutdown"}"#,
+            ],
+        );
+        assert!(shutdown);
+        assert_eq!(responses.len(), 10, "{responses:?}");
+        assert_eq!(
+            responses[0],
+            r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
+        );
+        // Probing inside the dense grid answers core; far away, outlier.
+        assert_eq!(responses[1], r#"{"ok":true,"op":"probe","label":"core"}"#);
+        assert_eq!(
+            responses[2],
+            r#"{"ok":true,"op":"probe","label":"outlier"}"#
+        );
+        // The probe did not mutate: the insert gets the next id (10).
+        assert_eq!(
+            responses[3],
+            r#"{"ok":true,"op":"insert","id":10,"label":"outlier"}"#
+        );
+        assert_eq!(
+            responses[4],
+            r#"{"ok":true,"op":"outliers","count":2,"ids":[9,10]}"#
+        );
+        assert_eq!(
+            responses[5],
+            r#"{"ok":true,"op":"remove","id":10,"removed":true}"#
+        );
+        // Re-removing is a miss, answered — not an error.
+        assert_eq!(
+            responses[6],
+            r#"{"ok":true,"op":"remove","id":10,"removed":false}"#
+        );
+        assert_eq!(
+            responses[7],
+            r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
+        );
+        assert!(responses[8].contains("\"points\":10"), "{}", responses[8]);
+        assert!(
+            responses[8].contains("\"total_inserted\":11"),
+            "{}",
+            responses[8]
+        );
+        assert_eq!(responses[9], r#"{"ok":true,"op":"shutdown"}"#);
 
-            let r = state.serve_report();
-            assert_eq!(r.queries, 10);
-            assert_eq!(r.probes, 2);
-            assert_eq!(r.inserts, 1);
-            assert_eq!(r.removes, 2);
-            assert_eq!(r.outlier_queries, 3);
-            assert_eq!(r.stats_queries, 1);
-            assert_eq!(r.errors, 0);
-        }
+        let r = state.serve_report();
+        assert_eq!(r.queries, 10);
+        assert_eq!(r.probes, 2);
+        assert_eq!(r.inserts, 1);
+        assert_eq!(r.removes, 2);
+        assert_eq!(r.outlier_queries, 3);
+        assert_eq!(r.stats_queries, 1);
+        assert_eq!(r.errors, 0);
     }
 
     #[test]
     fn malformed_requests_answer_errors_and_keep_the_session_alive() {
-        let mut state = warm_state(ExecutionLayout::CellMajor);
+        let mut state = warm_state();
         let (responses, shutdown) = run_lines(
             &mut state,
             &[
@@ -552,6 +538,8 @@ mod tests {
                 r#"{"op":"probe","point":[1.0]}"#,
                 r#"{"op":"probe","point":["a","b"]}"#,
                 r#"{"op":"insert","point":[1.0,2.0,3.0]}"#,
+                r#"{"op":"insert","point":[1e19,0.0]}"#,
+                r#"{"op":"probe","point":[2e19,0.0]}"#,
                 r#"{"op":"remove"}"#,
                 "",
                 r#"{"op":"stats"}"#,
@@ -560,55 +548,65 @@ mod tests {
         // EOF without shutdown: the daemon reports a hangup, not a close.
         assert!(!shutdown);
         // The blank line is skipped entirely (no response, not counted).
-        assert_eq!(responses.len(), 9, "{responses:?}");
-        for r in &responses[..8] {
+        assert_eq!(responses.len(), 11, "{responses:?}");
+        for r in &responses[..10] {
             assert!(r.starts_with(r#"{"ok":false,"error":""#), "{r}");
         }
-        assert!(responses[8].starts_with(r#"{"ok":true,"op":"stats""#));
+        // A coordinate beyond the exact cell range is a typed error.
+        assert!(
+            responses[7].contains("beyond the exact cell range"),
+            "{}",
+            responses[7]
+        );
+        assert!(
+            responses[8].contains("beyond the exact cell range"),
+            "{}",
+            responses[8]
+        );
+        assert!(responses[10].starts_with(r#"{"ok":true,"op":"stats""#));
         let r = state.serve_report();
-        assert_eq!(r.queries, 9);
-        assert_eq!(r.errors, 8);
+        assert_eq!(r.queries, 11);
+        assert_eq!(r.errors, 10);
         assert_eq!(r.stats_queries, 1);
-        // The dimension-mismatched insert really was rejected.
+        // The dimension-mismatched and out-of-range inserts really were
+        // rejected.
         assert_eq!(state.detector().total_inserted(), 10);
     }
 
     #[test]
     fn session_mutations_match_a_directly_driven_detector() {
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            let mut state = warm_state(layout);
-            let mut twin = warm_state(layout);
+        let mut state = warm_state();
+        let mut twin = warm_state();
 
-            let mut lines = Vec::new();
-            for i in 0..20u32 {
-                let x = 0.05 * f64::from(i % 7);
-                let y = 40.0 + 0.05 * f64::from(i % 5);
-                lines.push(format!(r#"{{"op":"insert","point":[{x},{y}]}}"#));
-                twin.inc.insert(&[x, y]).unwrap();
-                if i % 3 == 0 {
-                    lines.push(format!(r#"{{"op":"remove","id":{i}}}"#));
-                    twin.inc.remove(i);
-                }
+        let mut lines = Vec::new();
+        for i in 0..20u32 {
+            let x = 0.05 * f64::from(i % 7);
+            let y = 40.0 + 0.05 * f64::from(i % 5);
+            lines.push(format!(r#"{{"op":"insert","point":[{x},{y}]}}"#));
+            twin.inc.insert(&[x, y]).unwrap();
+            if i % 3 == 0 {
+                lines.push(format!(r#"{{"op":"remove","id":{i}}}"#));
+                twin.inc.remove(i);
             }
-            lines.push(r#"{"op":"outliers"}"#.to_string());
-            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-            let (responses, _) = run_lines(&mut state, &refs);
-
-            let expected = twin.inc.outliers();
-            let mut want = format!(
-                r#"{{"ok":true,"op":"outliers","count":{},"ids":["#,
-                expected.len()
-            );
-            want.push_str(
-                &expected
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            want.push_str("]}");
-            assert_eq!(responses.last().unwrap(), &want, "layout {layout:?}");
-            assert_eq!(state.inc.labels(), twin.inc.labels());
         }
+        lines.push(r#"{"op":"outliers"}"#.to_string());
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let (responses, _) = run_lines(&mut state, &refs);
+
+        let expected = twin.inc.outliers();
+        let mut want = format!(
+            r#"{{"ok":true,"op":"outliers","count":{},"ids":["#,
+            expected.len()
+        );
+        want.push_str(
+            &expected
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+        want.push_str("]}");
+        assert_eq!(responses.last().unwrap(), &want);
+        assert_eq!(state.inc.labels(), twin.inc.labels());
     }
 }

@@ -125,93 +125,88 @@ fn ids_of_outliers_response(line: &str) -> Vec<u64> {
 
 #[test]
 fn interleaved_session_matches_batch_cli_with_exact_id_mapping() {
-    for layout in ["cell-major", "hashed"] {
-        let data = tmp(&format!("mix-{layout}.csv"));
-        dbscout_ok(&[
-            "generate",
-            "--dataset",
-            "blobs",
-            "--n",
-            "400",
-            "--seed",
-            "19",
-            "--output",
-            data.to_str().unwrap(),
-        ]);
-        let base_rows = read_rows(&data);
-        let n = base_rows.len();
+    let data = tmp("mix.csv");
+    dbscout_ok(&[
+        "generate",
+        "--dataset",
+        "blobs",
+        "--n",
+        "400",
+        "--seed",
+        "19",
+        "--output",
+        data.to_str().unwrap(),
+    ]);
+    let base_rows = read_rows(&data);
+    let n = base_rows.len();
 
-        // Book-keep the session ourselves: rows by id, and liveness.
-        let mut rows_by_id = base_rows.clone();
-        let mut alive: Vec<bool> = vec![true; n];
-        let mut requests: Vec<String> = Vec::new();
-        // An arbitrary interleaving: new points (clustered and far),
-        // removals of original AND fresh ids, a re-remove miss, probes.
-        let new_points: Vec<Vec<f64>> = (0..12)
-            .map(|i| {
-                if i % 3 == 0 {
-                    vec![200.0 + f64::from(i), 200.0]
-                } else {
-                    vec![0.01 * f64::from(i), 0.02 * f64::from(i)]
-                }
-            })
-            .collect();
-        for (i, p) in new_points.iter().enumerate() {
-            requests.push(format!(
-                r#"{{"op":"insert","point":[{:?},{:?}]}}"#,
-                p[0], p[1]
-            ));
-            rows_by_id.push(p.clone());
-            alive.push(true);
-            if i % 2 == 0 {
-                // Remove an original id interleaved with the inserts.
-                let victim = i * 13 % n;
-                requests.push(format!(r#"{{"op":"remove","id":{victim}}}"#));
-                alive[victim] = false;
+    // Book-keep the session ourselves: rows by id, and liveness.
+    let mut rows_by_id = base_rows.clone();
+    let mut alive: Vec<bool> = vec![true; n];
+    let mut requests: Vec<String> = Vec::new();
+    // An arbitrary interleaving: new points (clustered and far),
+    // removals of original AND fresh ids, a re-remove miss, probes.
+    let new_points: Vec<Vec<f64>> = (0..12)
+        .map(|i| {
+            if i % 3 == 0 {
+                vec![200.0 + f64::from(i), 200.0]
+            } else {
+                vec![0.01 * f64::from(i), 0.02 * f64::from(i)]
             }
-            requests.push(r#"{"op":"probe","point":[0.0,0.0]}"#.to_string());
+        })
+        .collect();
+    for (i, p) in new_points.iter().enumerate() {
+        requests.push(format!(
+            r#"{{"op":"insert","point":[{:?},{:?}]}}"#,
+            p[0], p[1]
+        ));
+        rows_by_id.push(p.clone());
+        alive.push(true);
+        if i % 2 == 0 {
+            // Remove an original id interleaved with the inserts.
+            let victim = i * 13 % n;
+            requests.push(format!(r#"{{"op":"remove","id":{victim}}}"#));
+            alive[victim] = false;
         }
-        // Remove two of the fresh ids too, plus one guaranteed miss.
-        for fresh in [n as u64, n as u64 + 3] {
-            requests.push(format!(r#"{{"op":"remove","id":{fresh}}}"#));
-            alive[fresh as usize] = false;
-        }
-        requests.push(format!(r#"{{"op":"remove","id":{}}}"#, n)); // re-remove
-        requests.push(r#"{"op":"outliers"}"#.to_string());
-        requests.push(r#"{"op":"stats"}"#.to_string());
-        requests.push(r#"{"op":"shutdown"}"#.to_string());
-
-        let mut child = spawn_serve(&[
-            "--input",
-            data.to_str().unwrap(),
-            "--eps",
-            "0.6",
-            "--min-pts",
-            "5",
-            "--layout",
-            layout,
-        ]);
-        let responses = drive(&mut child, &requests);
-        assert_eq!(responses.len(), requests.len(), "{responses:?}");
-        let outliers_line = &responses[responses.len() - 3];
-        let served_ids = ids_of_outliers_response(outliers_line);
-
-        // Exact id mapping: survivors in id order are the batch rows in
-        // row order, so batch outlier row k is survivor id ids[k].
-        let survivor_ids: Vec<u64> = (0..rows_by_id.len() as u64)
-            .filter(|&id| alive[id as usize])
-            .collect();
-        let survivor_rows: Vec<Vec<f64>> = survivor_ids
-            .iter()
-            .map(|&id| rows_by_id[id as usize].clone())
-            .collect();
-        let batch_ids: Vec<u64> =
-            batch_outlier_indices(&format!("mix-{layout}"), &survivor_rows, "0.6", "5")
-                .into_iter()
-                .map(|k| survivor_ids[k])
-                .collect();
-        assert_eq!(served_ids, batch_ids, "layout {layout}");
+        requests.push(r#"{"op":"probe","point":[0.0,0.0]}"#.to_string());
     }
+    // Remove two of the fresh ids too, plus one guaranteed miss.
+    for fresh in [n as u64, n as u64 + 3] {
+        requests.push(format!(r#"{{"op":"remove","id":{fresh}}}"#));
+        alive[fresh as usize] = false;
+    }
+    requests.push(format!(r#"{{"op":"remove","id":{}}}"#, n)); // re-remove
+    requests.push(r#"{"op":"outliers"}"#.to_string());
+    requests.push(r#"{"op":"stats"}"#.to_string());
+    requests.push(r#"{"op":"shutdown"}"#.to_string());
+
+    let mut child = spawn_serve(&[
+        "--input",
+        data.to_str().unwrap(),
+        "--eps",
+        "0.6",
+        "--min-pts",
+        "5",
+    ]);
+    let responses = drive(&mut child, &requests);
+    assert_eq!(responses.len(), requests.len(), "{responses:?}");
+    let outliers_line = &responses[responses.len() - 3];
+    let served_ids = ids_of_outliers_response(outliers_line);
+
+    // Exact id mapping: survivors in id order are the batch rows in
+    // row order, so batch outlier row k is survivor id ids[k].
+    let survivor_ids: Vec<u64> = (0..rows_by_id.len() as u64)
+        .filter(|&id| alive[id as usize])
+        .collect();
+    let survivor_rows: Vec<Vec<f64>> = survivor_ids
+        .iter()
+        .map(|&id| rows_by_id[id as usize].clone())
+        .collect();
+    let batch_ids: Vec<u64> = batch_outlier_indices("mix", &survivor_rows, "0.6", "5")
+        .into_iter()
+        .map(|k| survivor_ids[k])
+        .collect();
+    assert_eq!(served_ids, batch_ids);
 }
 
 #[test]

@@ -140,6 +140,10 @@ fn rebase(e: SpatialError, local: usize, global: usize) -> SpatialError {
             point: point - local + global,
             dim,
         },
+        SpatialError::CoordinateOutOfRange { point, dim } => SpatialError::CoordinateOutOfRange {
+            point: point - local + global,
+            dim,
+        },
         other => other,
     }
 }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use dbscout_dataflow::shuffle::DetHashMap;
 use dbscout_dataflow::{Dataset, ExecutionContext};
-use dbscout_spatial::cell::{cell_of, cell_side, MAX_DIMS};
+use dbscout_spatial::cell::{cell_of, cell_side, checked_cell_of, MAX_DIMS};
 use dbscout_spatial::distance::within;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::CellCoord;
@@ -190,6 +190,11 @@ impl DistributedDbscout {
         let min_pts = self.params.min_pts;
         let dims = store.dims();
         let side = cell_side(self.params.eps, dims);
+        // The grid stage's map cannot fail per record, so reject points
+        // whose cell index would not be exact before any stage runs.
+        for (id, p) in store.iter() {
+            checked_cell_of(p, side, id as usize)?;
+        }
         let n = store.len() as usize;
         let dist_comps = Arc::new(AtomicU64::new(0));
         let mut timings = PhaseTimings::default();

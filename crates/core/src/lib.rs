@@ -74,7 +74,7 @@ pub use execution::ExecutionConfig;
 pub use explain::{consistent, explain, Explanation};
 pub use incremental::IncrementalDbscout;
 pub use labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
-pub use native::{detect_outliers, Dbscout, ExecutionLayout, NativeOptions};
+pub use native::{detect_outliers, Dbscout, NativeOptions};
 pub use params::DbscoutParams;
 pub use process::{detect_with_process_workers, run_worker, WorkerHandler};
 pub use report::{build_run_report, process_report, stage_report, RunInfo};

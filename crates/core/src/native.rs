@@ -21,18 +21,15 @@
 
 use std::time::{Duration, Instant};
 
-use dbscout_data::{materialize, PointBatch, PointSource, DEFAULT_BATCH_SIZE};
-use dbscout_dataflow::executor::{run_tasks, run_tasks_with};
-use dbscout_spatial::distance::within;
-use dbscout_spatial::points::PointId;
+use dbscout_data::{PointBatch, PointSource, DEFAULT_BATCH_SIZE};
+use dbscout_dataflow::executor::run_tasks_with;
 use dbscout_spatial::{
-    CellCoord, CellMajorBuilder, CellMajorStore, Grid, KernelKind, NeighborOffsets, PointStore,
-    MAX_DIMS,
+    CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, MAX_DIMS,
 };
 use dbscout_telemetry::KernelCounters;
 
 use crate::build::{count_parallel, scatter_parallel};
-use crate::cellmap::{CellFlags, CellMap};
+use crate::cellmap::CellFlags;
 use crate::error::Result;
 use crate::labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
 use crate::params::DbscoutParams;
@@ -59,24 +56,7 @@ pub struct Dbscout {
     params: DbscoutParams,
     threads: usize,
     options: NativeOptions,
-    layout: ExecutionLayout,
     kernel: KernelKind,
-}
-
-/// Which physical layout the phase-3/phase-5 scans run on. Both layouts
-/// implement the identical semantics (a property test pins label
-/// equality); they differ only in memory traversal and pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionLayout {
-    /// Walk the hash-keyed [`Grid`]: one hash probe plus a pointer chase
-    /// per neighbor cell *per point*. Kept for comparison benchmarks.
-    Hashed,
-    /// Scan the cell-contiguous columnar [`CellMajorStore`]: neighbor
-    /// cells are resolved once per cell, per-cell bounding boxes prune
-    /// unreachable cells, and the counted kernels stream contiguous
-    /// columns. The default.
-    #[default]
-    CellMajor,
 }
 
 /// Ablation switches for the native engine. Both default to `true`
@@ -111,7 +91,6 @@ impl Dbscout {
             params,
             threads,
             options: NativeOptions::default(),
-            layout: ExecutionLayout::default(),
             kernel: KernelKind::default(),
         }
     }
@@ -124,7 +103,7 @@ impl Dbscout {
 
     /// Overrides the distance kernel of the cell-major hot loops
     /// (results and kernel-counter totals are unaffected; only the loop
-    /// shape changes). The hashed layout ignores this and runs scalar.
+    /// shape changes).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -137,21 +116,9 @@ impl Dbscout {
         self
     }
 
-    /// Overrides the execution layout (results are unaffected; only the
-    /// memory traversal changes).
-    pub fn with_layout(mut self, layout: ExecutionLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// The configured parameters.
     pub fn params(&self) -> DbscoutParams {
         self.params
-    }
-
-    /// The configured execution layout.
-    pub fn layout(&self) -> ExecutionLayout {
-        self.layout
     }
 
     /// The configured worker-thread count.
@@ -167,206 +134,12 @@ impl Dbscout {
     /// Detects all outliers of `store` (Definition 3), exactly.
     ///
     /// Runs in O(n · minPts · k_d) distance computations — linear in n for
-    /// fixed parameters (Lemmas 4–8).
-    pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        match self.layout {
-            ExecutionLayout::Hashed => self.detect_hashed(store),
-            ExecutionLayout::CellMajor => self.detect_cell_major(store),
-        }
-    }
-
-    /// The original grid-walking implementation: phases 3/5 look every
-    /// neighbor cell up in the [`Grid`] hash map for every point.
-    fn detect_hashed(&self, store: &PointStore) -> Result<OutlierResult> {
-        let eps_sq = self.params.eps_sq();
-        let min_pts = self.params.min_pts;
-        let options = self.options;
-        let mut timings = PhaseTimings::default();
-
-        // Phase 1: grid partitioning (Algorithm 1).
-        let t = Instant::now();
-        let grid = Grid::build(store, self.params.eps)?;
-        timings.grid = t.elapsed();
-
-        // Phase 2: dense cell map (Algorithm 2).
-        let t = Instant::now();
-        let mut cell_map = CellMap::from_counts(
-            store.dims(),
-            grid.cells().map(|(c, ids)| (*c, ids.len())),
-            min_pts,
-        )?;
-        timings.dense_map = t.elapsed();
-
-        // Phase 3: core points identification (Algorithm 3).
-        let t = Instant::now();
-        // Canonicalize the hash-ordered cell iteration so chunk assignment
-        // (and with it per-chunk telemetry) is a pure function of the grid.
-        let mut cells: Vec<(&CellCoord, &[PointId])> = grid.cells().collect();
-        cells.sort_unstable_by_key(|&(coord, _)| coord);
-        let chunks = chunk_ranges(cells.len(), self.threads * 4);
-        let tasks: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let cells = &cells;
-                let grid = &grid;
-                let cell_map = &cell_map;
-                let range = range.clone();
-                move || {
-                    let mut core: Vec<PointId> = Vec::new();
-                    let mut promoted: Vec<CellCoord> = Vec::new();
-                    let mut counters = KernelCounters::new();
-                    for &(cell, ids) in cells.get(range.clone()).into_iter().flatten() {
-                        counters.cells_visited += 1;
-                        if options.dense_cell_shortcut && cell_map.is_dense(cell) {
-                            // Lemma 1: every point of a dense cell is core.
-                            core.extend_from_slice(ids);
-                            continue;
-                        }
-                        let mut any_core = false;
-                        for &p in ids {
-                            let pc = store.point(p);
-                            let mut count = 0usize;
-                            'offsets: for n in cell_map.neighbors(cell) {
-                                let Some(qs) = grid.points_in(&n) else {
-                                    continue;
-                                };
-                                for &q in qs {
-                                    counters.distance_evals += 1;
-                                    if within(pc, store.point(q), eps_sq) {
-                                        count += 1;
-                                        if options.early_exit && count >= min_pts {
-                                            counters.early_exit_hits += 1;
-                                            break 'offsets;
-                                        }
-                                    }
-                                }
-                            }
-                            if count >= min_pts {
-                                core.push(p);
-                                any_core = true;
-                            }
-                        }
-                        if any_core {
-                            promoted.push(*cell);
-                        }
-                    }
-                    (core, promoted, counters)
-                }
-            })
-            .collect();
-        let phase3 = run_tasks(self.threads, tasks)?;
-        let mut is_core = vec![false; store.len() as usize];
-        let mut kernel = KernelCounters::new();
-        let mut promotions: Vec<CellCoord> = Vec::new();
-        for (core, promoted, kc) in phase3 {
-            for p in core {
-                if let Some(slot) = is_core.get_mut(p as usize) {
-                    *slot = true;
-                }
-            }
-            promotions.extend(promoted);
-            kernel.merge(&kc);
-        }
-        timings.core_points = t.elapsed();
-
-        // Phase 4: core cell map (Algorithm 4).
-        let t = Instant::now();
-        for cell in &promotions {
-            cell_map.promote_to_core(cell);
-        }
-        timings.core_map = t.elapsed();
-
-        // Phase 5: outliers identification (Algorithm 5).
-        let t = Instant::now();
-        let tasks: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let cells = &cells;
-                let grid = &grid;
-                let cell_map = &cell_map;
-                let is_core = &is_core;
-                let range = range.clone();
-                move || {
-                    let mut outliers: Vec<PointId> = Vec::new();
-                    let mut counters = KernelCounters::new();
-                    for &(cell, ids) in cells.get(range.clone()).into_iter().flatten() {
-                        if cell_map.is_core(cell) {
-                            // Lemma 2: core cells contain no outliers.
-                            continue;
-                        }
-                        counters.cells_visited += 1;
-                        if !cell_map.has_core_neighbor(cell) {
-                            // O_ncn: no core cell in reach — all outliers.
-                            outliers.extend_from_slice(ids);
-                            continue;
-                        }
-                        for &p in ids {
-                            let pc = store.point(p);
-                            let mut covered = false;
-                            'offsets: for n in cell_map.core_neighbors(cell) {
-                                let Some(qs) = grid.points_in(&n) else {
-                                    continue;
-                                };
-                                for &q in qs {
-                                    if !is_core.get(q as usize).copied().unwrap_or(false) {
-                                        continue;
-                                    }
-                                    counters.distance_evals += 1;
-                                    if within(pc, store.point(q), eps_sq) {
-                                        covered = true;
-                                        if options.early_exit {
-                                            counters.early_exit_hits += 1;
-                                            break 'offsets;
-                                        }
-                                    }
-                                }
-                            }
-                            if !covered {
-                                outliers.push(p);
-                            }
-                        }
-                    }
-                    (outliers, counters)
-                }
-            })
-            .collect();
-        let phase5 = run_tasks(self.threads, tasks)?;
-        let mut labels: Vec<PointLabel> = is_core
-            .iter()
-            .map(|&c| {
-                if c {
-                    PointLabel::Core
-                } else {
-                    PointLabel::Covered
-                }
-            })
-            .collect();
-        for (outliers, kc) in phase5 {
-            for p in outliers {
-                if let Some(l) = labels.get_mut(p as usize) {
-                    *l = PointLabel::Outlier;
-                }
-            }
-            kernel.merge(&kc);
-        }
-        timings.outliers = t.elapsed();
-
-        let stats = RunStats {
-            num_cells: grid.num_cells(),
-            dense_cells: cell_map.dense_cells(),
-            core_cells: cell_map.core_cells(),
-            distance_computations: kernel.distance_evals,
-            kernel,
-        };
-        Ok(OutlierResult::from_labels(labels, stats, timings))
-    }
-
-    /// The cell-major implementation: points live in one cell-contiguous
+    /// fixed parameters (Lemmas 4–8). Points live in one cell-contiguous
     /// columnar buffer ([`CellMajorStore`]), neighbor cells are resolved
     /// once per *cell* into per-worker scratch, bounding boxes prune
     /// cells provably outside ε, and the counted kernels stream
     /// contiguous columns with early exit.
-    fn detect_cell_major(&self, store: &PointStore) -> Result<OutlierResult> {
+    pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
         // Phase 1: grid partitioning (Algorithm 1) fused with the
         // cell-major permutation: one pass yields the cell runs, the
         // columnar buffer, and the per-cell bounding boxes.
@@ -401,29 +174,15 @@ impl Dbscout {
     /// peak memory bounded by the finished cell-major layout plus one
     /// batch — never the raw input file.
     ///
-    /// On the cell-major layout (the default) the grid is built by the
-    /// two-pass streaming [`CellMajorBuilder`]: pass 1 counts points per
-    /// ε-cell, the source is [`PointSource::reset`] and pass 2 scatters
-    /// the replayed batches straight into the cell-contiguous columns.
-    /// The result is identical to materializing the source and calling
-    /// [`Self::detect`] — the equivalence suite pins labels *and* stats.
-    /// The hashed layout has no streaming grid; it materializes the
-    /// source and runs the grid-walking path.
-    pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
-        match self.layout {
-            ExecutionLayout::Hashed => {
-                let store = materialize(source)?;
-                self.detect_hashed(&store)
-            }
-            ExecutionLayout::CellMajor => self.detect_source_cell_major(source),
-        }
-    }
-
-    /// The streaming phase 1: two passes over the source through the
-    /// counting builder, then the shared phases 2–5. With more than one
+    /// The grid is built by the two-pass streaming [`CellMajorBuilder`]:
+    /// pass 1 counts points per ε-cell, the source is
+    /// [`PointSource::reset`] and pass 2 scatters the replayed batches
+    /// straight into the cell-contiguous columns. With more than one
     /// thread configured, both passes run on the parallel build of
-    /// [`crate::build`], fed batch by batch from the source.
-    fn detect_source_cell_major(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
+    /// [`crate::build`], fed batch by batch from the source. The result
+    /// is identical to materializing the source and calling
+    /// [`Self::detect`] — the equivalence suite pins labels *and* stats.
+    pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
         let t = Instant::now();
         let threads = self.threads;
         let eps = self.params.eps;
@@ -801,7 +560,7 @@ pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usiz
 
 /// One-shot convenience: detect with all defaults. Thin wrapper over
 /// [`crate::DetectorBuilder`] — reach for the builder when any knob
-/// (threads, layout, engine, join strategy) needs setting.
+/// (threads, kernel, engine, join strategy) needs setting.
 pub fn detect_outliers(store: &PointStore, params: DbscoutParams) -> Result<OutlierResult> {
     Dbscout::new(params).detect(store)
 }
@@ -1036,28 +795,18 @@ mod tests {
         pts.push([40.0, 40.0]);
         let store = store_2d(&pts);
         let params = DbscoutParams::new(1.0, 5).unwrap();
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            let single = Dbscout::new(params)
-                .with_layout(layout)
-                .with_threads(1)
+        let single = Dbscout::new(params).with_threads(1).detect(&store).unwrap();
+        assert_eq!(
+            single.stats.distance_computations,
+            single.stats.kernel.distance_evals
+        );
+        assert!(single.stats.kernel.cells_visited > 0);
+        for threads in [2, 4, 8] {
+            let multi = Dbscout::new(params)
+                .with_threads(threads)
                 .detect(&store)
                 .unwrap();
-            assert_eq!(
-                single.stats.distance_computations, single.stats.kernel.distance_evals,
-                "{layout:?}"
-            );
-            assert!(single.stats.kernel.cells_visited > 0, "{layout:?}");
-            for threads in [2, 4, 8] {
-                let multi = Dbscout::new(params)
-                    .with_layout(layout)
-                    .with_threads(threads)
-                    .detect(&store)
-                    .unwrap();
-                assert_eq!(
-                    single.stats.kernel, multi.stats.kernel,
-                    "{layout:?} threads {threads}"
-                );
-            }
+            assert_eq!(single.stats.kernel, multi.stats.kernel, "threads {threads}");
         }
     }
 

@@ -32,9 +32,8 @@ pub struct RunInfo {
     /// Number of worker threads.
     pub workers: u64,
     /// The resolved distance kernel the run used (`"scalar"` or
-    /// `"unrolled"`; callers resolve `Auto` and the hashed layout's
-    /// scalar-only constraint before echoing — see
-    /// [`crate::ExecutionConfig::resolved_kernel`]).
+    /// `"unrolled"`; callers resolve `Auto` before echoing — see
+    /// [`dbscout_spatial::KernelKind::resolve`]).
     pub kernel: String,
     /// The in-process worker-thread count the run resolved to (0 when
     /// no thread pool ran in-process).

@@ -1,8 +1,9 @@
 //! The cell-major layout is a pure re-arrangement of memory: its labels
-//! must be byte-identical to the hashed path and to the brute-force
-//! reference on arbitrary inputs — across dimensions, thread counts,
-//! ablation switches, and the degenerate shapes (empty store, all
-//! duplicates, one cell) where permutation bookkeeping likes to break.
+//! must be byte-identical to the brute-force reference on arbitrary
+//! inputs, and its cell counts equal to the hash-keyed [`Grid`]'s —
+//! across dimensions, thread counts, ablation switches, and the
+//! degenerate shapes (empty store, all duplicates, one cell) where
+//! permutation bookkeeping likes to break.
 //! Cases come from a seeded [`dbscout_rng::Rng`] so every run is
 //! reproducible.
 
@@ -15,9 +16,9 @@
 )]
 
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{Dbscout, DbscoutParams, ExecutionLayout, NativeOptions};
+use dbscout_core::{Dbscout, DbscoutParams, NativeOptions, OutlierResult, PointLabel};
 use dbscout_rng::Rng;
-use dbscout_spatial::PointStore;
+use dbscout_spatial::{Grid, PointStore};
 
 /// Clustered-looking random datasets (same construction as the
 /// exactness suite): anchors, points near anchors, uniform noise.
@@ -58,21 +59,39 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn detect(
-    store: &PointStore,
-    params: DbscoutParams,
-    layout: ExecutionLayout,
-    threads: usize,
-) -> dbscout_core::OutlierResult {
+fn detect(store: &PointStore, params: DbscoutParams, threads: usize) -> OutlierResult {
     Dbscout::new(params)
-        .with_layout(layout)
         .with_threads(threads)
         .detect(store)
         .unwrap()
 }
 
+/// The structural cell counters, from oracles independent of the
+/// cell-major layout: the hash-keyed [`Grid`] for the cells, and the
+/// reference labels for which cells hold a core point.
+fn assert_cell_counts(
+    got: &OutlierResult,
+    store: &PointStore,
+    params: DbscoutParams,
+    expected: &[PointLabel],
+    ctx: &str,
+) {
+    let grid = Grid::build(store, params.eps).unwrap();
+    let (mut dense, mut core) = (0usize, 0usize);
+    for (_, ids) in grid.cells() {
+        dense += usize::from(ids.len() >= params.min_pts);
+        core += usize::from(
+            ids.iter()
+                .any(|&id| expected[id as usize] == PointLabel::Core),
+        );
+    }
+    assert_eq!(got.stats.num_cells, grid.num_cells(), "{ctx}: cells");
+    assert_eq!(got.stats.dense_cells, dense, "{ctx}: dense cells");
+    assert_eq!(got.stats.core_cells, core, "{ctx}: core cells");
+}
+
 #[test]
-fn cell_major_matches_hashed_and_naive_dims_2_to_4() {
+fn cell_major_matches_naive_dims_2_to_4() {
     let mut rng = Rng::seed_from_u64(0x2001);
     for round in 0..30 {
         // Smaller datasets as k_d grows keeps the naive O(n²) check fast.
@@ -87,21 +106,14 @@ fn cell_major_matches_hashed_and_naive_dims_2_to_4() {
         let params = DbscoutParams::new(eps, min_pts).unwrap();
         let expected = naive_labels(&store, params);
         for threads in thread_counts() {
-            let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-            let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
-            assert_eq!(
-                cell_major.labels, expected,
-                "cell-major vs naive (d={dims}, threads={threads})"
-            );
-            assert_eq!(
-                cell_major.labels, hashed.labels,
-                "cell-major vs hashed (d={dims}, threads={threads})"
-            );
-            assert_eq!(cell_major.outliers, hashed.outliers);
-            // The structural cell counters are layout-independent too.
-            assert_eq!(cell_major.stats.num_cells, hashed.stats.num_cells);
-            assert_eq!(cell_major.stats.dense_cells, hashed.stats.dense_cells);
-            assert_eq!(cell_major.stats.core_cells, hashed.stats.core_cells);
+            let ctx = format!("d={dims}, threads={threads}");
+            let cell_major = detect(&store, params, threads);
+            assert_eq!(cell_major.labels, expected, "cell-major vs naive ({ctx})");
+            let outliers: Vec<u32> = (0..expected.len() as u32)
+                .filter(|&i| expected[i as usize] == PointLabel::Outlier)
+                .collect();
+            assert_eq!(cell_major.outliers, outliers, "{ctx}");
+            assert_cell_counts(&cell_major, &store, params, &expected, &ctx);
         }
     }
 }
@@ -114,9 +126,9 @@ fn cell_major_is_thread_count_invariant() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let single = detect(&store, params, ExecutionLayout::CellMajor, 1);
+        let single = detect(&store, params, 1);
         for threads in [2usize, 4, 8] {
-            let multi = detect(&store, params, ExecutionLayout::CellMajor, threads);
+            let multi = detect(&store, params, threads);
             assert_eq!(single.labels, multi.labels, "threads {threads}");
             assert_eq!(single.outliers, multi.outliers, "threads {threads}");
             assert_eq!(
@@ -138,7 +150,6 @@ fn cell_major_ablations_preserve_labels() {
         let expected = naive_labels(&store, params);
         for (dense, early) in [(false, true), (true, false), (false, false)] {
             let got = Dbscout::new(params)
-                .with_layout(ExecutionLayout::CellMajor)
                 .with_options(NativeOptions {
                     dense_cell_shortcut: dense,
                     early_exit: early,
@@ -151,38 +162,15 @@ fn cell_major_ablations_preserve_labels() {
 }
 
 #[test]
-fn cell_major_prunes_at_least_as_hard_as_hashed() {
-    // The whole point of the layout: bounding-box pruning plus per-cell
-    // neighbor resolution must never *add* distance computations.
-    let mut rng = Rng::seed_from_u64(0x2004);
-    for _ in 0..15 {
-        let store = dataset(&mut rng, 2, 200);
-        let eps = rng.gen_range(0.3..5.0);
-        let min_pts = rng.gen_range(1usize..8);
-        let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let hashed = detect(&store, params, ExecutionLayout::Hashed, 1);
-        let cell_major = detect(&store, params, ExecutionLayout::CellMajor, 1);
-        assert!(
-            cell_major.stats.distance_computations <= hashed.stats.distance_computations,
-            "cell-major did {} comps, hashed {}",
-            cell_major.stats.distance_computations,
-            hashed.stats.distance_computations
-        );
-    }
-}
-
-#[test]
 fn edge_case_empty_store() {
     let params = DbscoutParams::new(1.0, 5).unwrap();
     for dims in [2usize, 3, 4] {
         let store = PointStore::new(dims).unwrap();
-        for layout in [ExecutionLayout::Hashed, ExecutionLayout::CellMajor] {
-            let r = detect(&store, params, layout, 4);
-            assert!(r.labels.is_empty(), "{layout:?}");
-            assert!(r.outliers.is_empty(), "{layout:?}");
-            assert_eq!(r.stats.num_cells, 0, "{layout:?}");
-            assert_eq!(r.stats.distance_computations, 0, "{layout:?}");
-        }
+        let r = detect(&store, params, 4);
+        assert!(r.labels.is_empty(), "dims {dims}");
+        assert!(r.outliers.is_empty(), "dims {dims}");
+        assert_eq!(r.stats.num_cells, 0, "dims {dims}");
+        assert_eq!(r.stats.distance_computations, 0, "dims {dims}");
     }
 }
 
@@ -196,10 +184,10 @@ fn edge_case_all_duplicates() {
             let params = DbscoutParams::new(0.5, min_pts).unwrap();
             let expected = naive_labels(&store, params);
             for threads in thread_counts() {
-                let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-                let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
-                assert_eq!(cell_major.labels, expected, "n={n} minPts={min_pts}");
-                assert_eq!(cell_major.labels, hashed.labels, "n={n} minPts={min_pts}");
+                let ctx = format!("n={n} minPts={min_pts} threads={threads}");
+                let cell_major = detect(&store, params, threads);
+                assert_eq!(cell_major.labels, expected, "{ctx}");
+                assert_cell_counts(&cell_major, &store, params, &expected, &ctx);
             }
         }
     }
@@ -219,11 +207,11 @@ fn edge_case_single_cell() {
         let params = DbscoutParams::new(10.0, rng.gen_range(1usize..6)).unwrap();
         let expected = naive_labels(&store, params);
         for threads in thread_counts() {
-            let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-            let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
+            let ctx = format!("n={n} threads={threads}");
+            let cell_major = detect(&store, params, threads);
             assert_eq!(cell_major.stats.num_cells, 1);
-            assert_eq!(cell_major.labels, expected, "n={n} threads={threads}");
-            assert_eq!(cell_major.labels, hashed.labels, "n={n} threads={threads}");
+            assert_eq!(cell_major.labels, expected, "{ctx}");
+            assert_cell_counts(&cell_major, &store, params, &expected, &ctx);
         }
     }
 }

@@ -2,8 +2,9 @@
 //! how points reach the detector: for every batch size it must produce
 //! byte-identical labels *and* statistics to the materialized `detect`,
 //! on the same clustered fixtures the layout-equivalence suite uses —
-//! including permissive CSV ingest with quarantined rows, the hashed
-//! layout's materializing adapter, and the empty dataset.
+//! including permissive CSV ingest with quarantined rows, the
+//! materializing adapter the non-native engines stream through, and the
+//! empty dataset.
 
 #![allow(
     clippy::unwrap_used,
@@ -13,7 +14,7 @@
     clippy::float_cmp
 )]
 
-use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, ExecutionLayout, OutlierResult};
+use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, OutlierResult};
 use dbscout_data::io::{read_csv_with, IngestMode};
 use dbscout_data::{CsvSource, PointSource, StoreSource};
 use dbscout_rng::Rng;
@@ -69,9 +70,7 @@ fn detect_source_matches_detect_for_every_batch_size() {
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
         for threads in [1usize, 2, 3, 4] {
-            let builder = DetectorBuilder::new(params)
-                .threads(threads)
-                .layout(ExecutionLayout::CellMajor);
+            let builder = DetectorBuilder::new(params).threads(threads);
             let materialized = builder.build_native().detect(&store).unwrap();
             for batch in BATCH_SIZES {
                 let mut source = StoreSource::new(&store, batch);
@@ -87,19 +86,20 @@ fn detect_source_matches_detect_for_every_batch_size() {
 }
 
 #[test]
-fn hashed_layout_adapter_matches_detect() {
-    // The hashed layout has no streaming build; `detect_source` routes
-    // it through the materializing adapter, which must be transparent.
+fn materializing_adapter_matches_detect() {
+    // The incremental engine has no streaming build; `detect_source`
+    // routes it through the materializing adapter, which must be
+    // transparent.
     let mut rng = Rng::seed_from_u64(0x5002);
     for _ in 0..6 {
         let store = dataset(&mut rng, 2, 150);
         let params = DbscoutParams::new(rng.gen_range(0.3..5.0), rng.gen_range(1usize..8)).unwrap();
-        let builder = DetectorBuilder::new(params).layout(ExecutionLayout::Hashed);
-        let materialized = builder.build_native().detect(&store).unwrap();
+        let builder = DetectorBuilder::new(params).incremental();
+        let materialized = builder.build().detect(&store).unwrap();
         for batch in BATCH_SIZES {
             let mut source = StoreSource::new(&store, batch);
             let streamed = builder.detect_source(&mut source).unwrap();
-            assert_identical(&streamed, &materialized, &format!("hashed batch={batch}"));
+            assert_identical(&streamed, &materialized, &format!("adapter batch={batch}"));
         }
     }
 }
@@ -129,7 +129,7 @@ fn permissive_csv_streaming_matches_materialized_ingest() {
     std::fs::write(&path, content).unwrap();
 
     let params = DbscoutParams::new(1.0, 4).unwrap();
-    let builder = DetectorBuilder::new(params).layout(ExecutionLayout::CellMajor);
+    let builder = DetectorBuilder::new(params);
 
     let ingest = read_csv_with(&path, false, IngestMode::Permissive).unwrap();
     let materialized = builder.build_native().detect(&ingest.store).unwrap();
@@ -156,14 +156,12 @@ fn permissive_csv_streaming_matches_materialized_ingest() {
 fn empty_source_yields_an_empty_result() {
     let store = PointStore::new(3).unwrap();
     let params = DbscoutParams::new(1.0, 4).unwrap();
-    for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-        let builder = DetectorBuilder::new(params).layout(layout);
-        let mut source = StoreSource::new(&store, 16);
-        let result = builder.detect_source(&mut source).unwrap();
-        assert!(result.labels.is_empty(), "{layout:?}");
-        assert!(result.outliers.is_empty(), "{layout:?}");
-        assert_eq!(result.stats.num_cells, 0, "{layout:?}");
-    }
+    let builder = DetectorBuilder::new(params);
+    let mut source = StoreSource::new(&store, 16);
+    let result = builder.detect_source(&mut source).unwrap();
+    assert!(result.labels.is_empty());
+    assert!(result.outliers.is_empty());
+    assert_eq!(result.stats.num_cells, 0);
 }
 
 #[test]
@@ -192,7 +190,7 @@ fn len_hint_is_not_trusted() {
     let mut rng = Rng::seed_from_u64(0x5004);
     let store = dataset(&mut rng, 2, 100);
     let params = DbscoutParams::new(1.0, 4).unwrap();
-    let builder = DetectorBuilder::new(params).layout(ExecutionLayout::CellMajor);
+    let builder = DetectorBuilder::new(params);
     let materialized = builder.build_native().detect(&store).unwrap();
     let mut source = LyingSource(StoreSource::new(&store, 13));
     let streamed = builder.detect_source(&mut source).unwrap();
@@ -278,9 +276,7 @@ fn bad_streams_fail_with_the_same_typed_error_at_every_thread_count() {
     let mut flat = store.flat().to_vec();
     flat[2 * (n - 5) + 1] = f64::NAN;
     for threads in [1usize, 2, 3, 4] {
-        let builder = DetectorBuilder::new(params)
-            .threads(threads)
-            .layout(ExecutionLayout::CellMajor);
+        let builder = DetectorBuilder::new(params).threads(threads);
         for batch in [1usize, 7, 64] {
             let ctx = format!("threads={threads} batch={batch}");
             let mut source = SwappingSource {
@@ -360,7 +356,6 @@ fn replay_failures_report_the_first_bad_point_at_every_thread_count() {
                 };
                 let err = DetectorBuilder::new(params)
                     .threads(threads)
-                    .layout(ExecutionLayout::CellMajor)
                     .detect_source(&mut source)
                     .unwrap_err();
                 let ctx = format!("{name}: threads={threads} batch={batch}");

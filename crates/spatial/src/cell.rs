@@ -9,6 +9,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
+use crate::error::SpatialError;
+
 /// Maximum supported dimensionality. The paper evaluates k_d for d ≤ 9
 /// (Table I) and runs experiments on 2–3-dimensional data.
 pub const MAX_DIMS: usize = 9;
@@ -157,7 +159,47 @@ pub fn cell_side(eps: f64, dims: usize) -> f64 {
     (eps / (dims as f64).sqrt()).next_down()
 }
 
-/// The cell containing `point`, for cells of side `side`.
+/// The bound on `|x / side|` below which a cell index is exact: 2^53.
+/// Below it the quotient's rounding error stays under one cell and its
+/// floor is an exactly representable integer. From 2^53 up, consecutive
+/// quotients are 2 or more apart, so a cell spans several sides, two
+/// points more than ε apart can share one, and Lemma 1 fails. The sweep
+/// in the umbrella crate's `tests/coordinate_range.rs` straddles the
+/// bound: exact below it, broken cells above it.
+pub const MAX_CELL_INDEX: f64 = 9_007_199_254_740_992.0;
+
+/// The cell containing point `id` (its index, for the error), for cells
+/// of side `side`.
+///
+/// # Errors
+///
+/// [`SpatialError::NonFiniteCoordinate`] for a NaN or infinite
+/// coordinate, [`SpatialError::CoordinateOutOfRange`] for a finite one
+/// with `|x / side| ≥` [`MAX_CELL_INDEX`]; the first bad dimension wins.
+#[inline]
+pub fn checked_cell_of(point: &[f64], side: f64, id: usize) -> Result<CellCoord, SpatialError> {
+    debug_assert!(point.len() <= MAX_DIMS);
+    let mut c = [0i64; MAX_DIMS];
+    for (dim, (out, &x)) in c.iter_mut().zip(point).enumerate() {
+        let q = x / side;
+        // One comparison on the hot path; NaN fails it too.
+        if q.abs() < MAX_CELL_INDEX {
+            *out = q.floor() as i64;
+        } else if x.is_finite() {
+            return Err(SpatialError::CoordinateOutOfRange { point: id, dim });
+        } else {
+            return Err(SpatialError::NonFiniteCoordinate { point: id, dim });
+        }
+    }
+    Ok(CellCoord {
+        dims: point.len() as u8,
+        c,
+    })
+}
+
+/// The cell containing `point`, for cells of side `side`. Exact only
+/// for points [`checked_cell_of`] accepts (beyond that the cast
+/// saturates): callers pass points that went through it on entry.
 #[inline]
 pub fn cell_of(point: &[f64], side: f64) -> CellCoord {
     debug_assert!(point.len() <= MAX_DIMS);

@@ -35,7 +35,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, CellHashMap, MAX_DIMS};
+use crate::cell::{cell_side, checked_cell_of, CellCoord, CellHashMap, MAX_DIMS};
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
 };
@@ -517,7 +517,8 @@ fn check_whole_points(coords: &[f64], dims: usize) -> Result<(), SpatialError> {
 ///
 /// [`SpatialError::DimensionMismatch`] for a partial point,
 /// [`SpatialError::NonFiniteCoordinate`] for a NaN or infinite
-/// coordinate, or the first error `f` returns.
+/// coordinate, [`SpatialError::CoordinateOutOfRange`] for one beyond the
+/// exact cell range, or the first error `f` returns.
 #[inline(always)]
 fn for_each_cell(
     coords: &[f64],
@@ -548,12 +549,7 @@ fn for_each_cell_of(
 ) -> Result<(), SpatialError> {
     for (i, p) in coords.chunks_exact(dims).enumerate() {
         let id = first_id + i;
-        for (k, &x) in p.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(SpatialError::NonFiniteCoordinate { point: id, dim: k });
-            }
-        }
-        f(id, p, cell_of(p, side))?;
+        f(id, p, checked_cell_of(p, side, id)?)?;
     }
     Ok(())
 }
@@ -603,8 +599,9 @@ impl CellLocator<'_> {
     ///
     /// [`SpatialError::DimensionMismatch`] for a partial point,
     /// [`SpatialError::NonFiniteCoordinate`] for a NaN or infinite
-    /// coordinate, and [`SpatialError::StreamMismatch`] for a point in a
-    /// cell pass 1 never counted.
+    /// coordinate, [`SpatialError::CoordinateOutOfRange`] for one beyond
+    /// the exact cell range, and [`SpatialError::StreamMismatch`] for a
+    /// point in a cell pass 1 never counted.
     pub fn locate_batch(
         &self,
         coords: &[f64],
@@ -846,8 +843,8 @@ impl CellMajorStore {
     /// strictly farther than ε from this cell's bounding box are dropped
     /// — sound because the box distance lower-bounds every point pair.
     ///
-    /// One hash probe per offset, amortized over every point of the cell
-    /// (the hashed path paid this per *point*).
+    /// One hash probe per offset, amortized over every point of the
+    /// cell.
     pub fn neighbors_into(
         &self,
         idx: usize,
@@ -1344,6 +1341,7 @@ impl CellMajorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::cell_of;
     use crate::distance::sq_dist;
 
     fn store_2d(points: &[[f64; 2]]) -> PointStore {
@@ -2057,7 +2055,7 @@ mod tests {
 
     #[test]
     fn layout_agrees_with_grid() {
-        // Same cells, same per-cell id sets as the hashed grid.
+        // Same cells, same per-cell id sets as the hash-keyed grid.
         let pts: Vec<[f64; 2]> = (0..60)
             .map(|i| [((i * 37) % 50) as f64 * 0.3, ((i * 53) % 40) as f64 * 0.3])
             .collect();

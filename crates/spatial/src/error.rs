@@ -33,6 +33,15 @@ pub enum SpatialError {
         /// Offending dimension.
         dim: usize,
     },
+    /// A coordinate is finite but so large, relative to the ε-cell side,
+    /// that its cell index is not exact (`|x / side| ≥ 2^53`; see
+    /// [`crate::cell::MAX_CELL_INDEX`]).
+    CoordinateOutOfRange {
+        /// Index of the offending point.
+        point: usize,
+        /// Offending dimension.
+        dim: usize,
+    },
     /// A streaming source replayed different points on its second pass
     /// than it produced on the first (the two-pass cell-major builder
     /// requires byte-identical replay).
@@ -60,6 +69,11 @@ impl fmt::Display for SpatialError {
             SpatialError::NonFiniteCoordinate { point, dim } => {
                 write!(f, "point {point} has a non-finite coordinate in dim {dim}")
             }
+            SpatialError::CoordinateOutOfRange { point, dim } => write!(
+                f,
+                "point {point} has a coordinate in dim {dim} beyond the exact cell range \
+                 (|x| / cell side must stay below 2^53)"
+            ),
             SpatialError::StreamMismatch => write!(
                 f,
                 "streaming source did not replay the same points on its second pass"
@@ -98,5 +112,8 @@ mod tests {
         assert!(SpatialError::NonFiniteCoordinate { point: 7, dim: 1 }
             .to_string()
             .contains("point 7"));
+        assert!(SpatialError::CoordinateOutOfRange { point: 3, dim: 0 }
+            .to_string()
+            .contains("point 3"));
     }
 }

@@ -41,7 +41,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, CellHashMap, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, checked_cell_of, CellCoord, CellHashMap, MAX_DIMS};
 use crate::cell_major::{tight_bboxes, CellMajorStore, CellRecord};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
@@ -225,7 +225,8 @@ impl MutableCellMajor {
     ///
     /// # Errors
     ///
-    /// Fails on dimension mismatch or non-finite coordinates.
+    /// Fails on dimension mismatch, non-finite coordinates, or a
+    /// coordinate beyond the exact cell range.
     pub fn insert(&mut self, id: PointId, point: &[f64]) -> Result<bool, SpatialError> {
         if point.len() != self.store.dims {
             return Err(SpatialError::DimensionMismatch {
@@ -233,18 +234,10 @@ impl MutableCellMajor {
                 got: point.len(),
             });
         }
-        for (dim, &x) in point.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(SpatialError::NonFiniteCoordinate {
-                    point: id as usize,
-                    dim,
-                });
-            }
-        }
+        let coord = checked_cell_of(point, self.store.side, id as usize)?;
         if self.contains(id) {
             return Ok(false);
         }
-        let coord = cell_of(point, self.store.side);
         match self.store.index.get(&coord).copied() {
             Some(ci) => self.insert_into_cell(ci as usize, id, point),
             None => self.insert_new_cell(coord, id, point),

@@ -262,10 +262,9 @@ pub struct ServeReport {
     /// Requests rejected (unparseable line, unknown op, bad payload).
     pub errors: u64,
     /// Cell-run relocations the warm mutable store performed while
-    /// absorbing inserts (0 on the hashed layout).
+    /// absorbing inserts.
     pub rebuilds: u64,
-    /// Whole-layout compactions the warm mutable store performed (0 on
-    /// the hashed layout).
+    /// Whole-layout compactions the warm mutable store performed.
     pub compactions: u64,
 }
 

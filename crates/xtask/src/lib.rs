@@ -73,7 +73,6 @@
 )]
 pub mod bench_diff;
 pub mod diag;
-pub mod layout_check;
 pub mod lexer;
 pub mod report_check;
 pub mod rules;

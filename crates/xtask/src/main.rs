@@ -21,10 +21,6 @@ fn usage() -> &'static str {
      \x20                              counter samples only, timestamps\n\
      \x20                              monotone per lane, counter names in\n\
      \x20                              the kernel taxonomy\n\
-     \x20 check-layout [--root DIR]    assert the cell-major layout is the\n\
-     \x20                              native engine's `#[default]` (release\n\
-     \x20                              builds must not silently fall back to\n\
-     \x20                              the hashed path)\n\
      \x20 bench-diff <parent> <change> compare two perfbench results files\n\
      \x20                              (.bench_out/results-*.json) under the\n\
      \x20                              end-to-end metrics, directions and\n\
@@ -50,7 +46,6 @@ fn main() -> ExitCode {
         "lint" => lint(args),
         "check-report" => check_report(args),
         "check-trace" => check_trace(args),
-        "check-layout" => check_layout(args),
         "bench-diff" => bench_diff(args),
         _ => {
             eprintln!("error: unknown command {cmd:?}\n\n{}", usage());
@@ -156,45 +151,6 @@ fn bench_diff(mut args: impl Iterator<Item = String>) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn check_layout(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other:?}\n\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = root.unwrap_or_else(workspace_root);
-    let native = root.join("crates/core/src/native.rs");
-    let source = match std::fs::read_to_string(&native) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: failed to read {}: {e}", native.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let errors = xtask::layout_check::check_layout_source(&source);
-    if errors.is_empty() {
-        println!("xtask check-layout: ExecutionLayout defaults to CellMajor");
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("{}: {e}", native.display());
-        }
-        eprintln!("xtask check-layout: {} violation(s)", errors.len());
-        ExitCode::FAILURE
     }
 }
 

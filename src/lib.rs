@@ -27,8 +27,8 @@ pub use dbscout_spatial as spatial;
 pub mod prelude {
     pub use dbscout_core::{
         detect_outliers, Dbscout, DbscoutError, DbscoutParams, DetectorBuilder, DistributedDbscout,
-        ExecutionConfig, ExecutionLayout, IncrementalDbscout, JoinStrategy, KernelKind,
-        NativeOptions, OutlierDetector, OutlierResult, PointLabel, Result, RunStats,
+        ExecutionConfig, IncrementalDbscout, JoinStrategy, KernelKind, NativeOptions,
+        OutlierDetector, OutlierResult, PointLabel, Result, RunStats,
     };
     pub use dbscout_dataflow::ExecutionContext;
     pub use dbscout_spatial::PointStore;
